@@ -60,15 +60,9 @@ def _print_result(result: QDepthResult) -> None:
 
 
 def cmd_qdepth(args: argparse.Namespace) -> int:
-    h = parse_function(_read_arg(args.spec))
     if args.d is not None:
-        table = beta_table(h, args.d)
-        if args.json:
-            _emit_json({"command": "beta", "function": h.to_json_dict(),
-                        "table": table.to_json_dict()})
-        else:
-            _print_table(table)
-        return 0
+        return cmd_beta(args)
+    h = parse_function(_read_arg(args.spec))
     result = qdepth(h)
     if args.json:
         payload = {"command": "qdepth", "function": h.to_json_dict()}

@@ -10,6 +10,23 @@ it always lies in the window [k0, k0 + floor(h1/h0)] where h0, h1 are the
 first two values of h, so the search scans that window exhaustively and
 keeps the maximum.  No monotonicity of the feasible set is assumed;
 ``feasible_depths`` exposes the full set for inspection.
+
+Every scan walks the rows with one kernel, ``_rows``.  Pascal's rule on
+C(d - j, k - j) gives
+
+    beta(d + 1, k)     = beta(d, k) - beta(d, k - 1)     (k0 < k <= d)
+    beta(d + 1, k0)    = h(k0)
+    beta(d + 1, d + 1) = h(d + 1) - beta(d, d)
+
+so the rows of a window of width W cost O(W^2) big-integer subtractions and
+no binomial coefficients.  The scans stream the rows and keep at most three
+of them (the current one, the certificate and the row after it).  The
+closed form survives only in the single-entry ``beta``, which is the oracle
+the tests hold the kernel to, and in ``reconstruct``.
+
+The fault hook ``HILBERTDEPTH_FLIP_BETA`` is read once per scan.  It
+negates the reported diagonal entry k == d > k0 of each row; the kernel
+hands out a flipped copy and keeps recurring on the clean row.
 """
 
 from __future__ import annotations
@@ -17,6 +34,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import comb
+from operator import sub
+from typing import Iterator
 
 from .errors import OutOfRangeError
 from .series import HilbertFunction
@@ -81,7 +100,7 @@ def _flip_active() -> bool:
 
 
 def _beta_value(evals: list[int], k0: int, d: int, k: int) -> int:
-    """beta(d, k) from cached values evals[j - k0] = h(j)."""
+    """Closed-form beta(d, k) from cached values evals[j - k0] = h(j)."""
     total = 0
     sign = 1
     for j in range(k, k0 - 1, -1):
@@ -92,18 +111,53 @@ def _beta_value(evals: list[int], k0: int, d: int, k: int) -> int:
     return total
 
 
+def _rows(
+    evals: list[int], start: int, top: int, flip: bool = False
+) -> Iterator[tuple[int, list[int]]]:
+    """Yield (d, row) for d = start..top, row[k - start] = beta(d, k), from
+    values evals[j - start] = h(j).  With ``flip`` the diagonal of each row
+    past the first is negated in the yielded copy only."""
+    row = [evals[0]]
+    yield start, row
+    for i in range(1, top - start + 1):
+        row = [row[0], *map(sub, row[1:], row), evals[i] - row[-1]]
+        yield start + i, [*row[:-1], -row[-1]] if flip else row
+
+
 def _window_evaluations(h: HilbertFunction, top: int) -> list[int]:
     k0 = h.k0
     return [h.evaluate(j) for j in range(k0, top + 1)]
 
 
-def _first_violation(evals: list[int], k0: int, d: int) -> tuple[int, int] | None:
-    """Smallest k with a negative beta at depth d, or None if d is feasible."""
-    for k in range(k0, d + 1):
-        b = _beta_value(evals, k0, d, k)
-        if b < 0:
-            return k, b
-    return None
+def scan(
+    evals: list[int], start: int, last: int, low: int, high: int, flip: bool = False
+) -> QDepthResult:
+    """Exhaustive depth scan over the rows d = start..last of the values
+    evals[j - start] = h(j), reported with the window [low, high].
+
+    The depth is the largest d whose row is nonnegative (the row at start
+    is taken when none is).  When it is below high, the refutation is the
+    first negative entry of the next row; that row may lie past ``last``,
+    in which case evals must reach it and the refutation is None if the
+    row has no negative entry.
+    """
+    top = last + 1 if high > last else last
+    rows = _rows(evals, start, top, flip)
+    best, certificate = next(rows)
+    following = None
+    for d, row in rows:
+        if d <= last and min(row) >= 0:
+            best, certificate, following = d, row, None
+        elif d == best + 1:
+            following = row
+    refutation = None
+    if best < high:
+        k = next((i for i, b in enumerate(following) if b < 0), None)
+        if k is not None:
+            refutation = (best + 1, start + k, following[k])
+    return QDepthResult(
+        best, BetaTable(best, start, tuple(certificate)), low, high, refutation
+    )
 
 
 def beta(h: HilbertFunction, d: int, k: int) -> int:
@@ -121,8 +175,9 @@ def beta_table(h: HilbertFunction, d: int) -> BetaTable:
     if d < k0:
         raise OutOfRangeError(f"d={d} is below k0={k0}")
     evals = _window_evaluations(h, d)
-    values = tuple(_beta_value(evals, k0, d, k) for k in range(k0, d + 1))
-    return BetaTable(d, k0, values)
+    for _, row in _rows(evals, k0, d, _flip_active()):
+        pass
+    return BetaTable(d, k0, tuple(row))
 
 
 def reconstruct(table: BetaTable, k: int) -> int:
@@ -152,7 +207,7 @@ def feasible_depths(h: HilbertFunction) -> list[int]:
     """
     low, high = bounds(h)
     evals = _window_evaluations(h, high)
-    return [d for d in range(low, high + 1) if _first_violation(evals, low, d) is None]
+    return [d for d, row in _rows(evals, low, high, _flip_active()) if min(row) >= 0]
 
 
 def qdepth(h: HilbertFunction) -> QDepthResult:
@@ -163,15 +218,4 @@ def qdepth(h: HilbertFunction) -> QDepthResult:
     """
     low, high = bounds(h)
     evals = _window_evaluations(h, high)
-    best = low
-    for d in range(low, high + 1):
-        if _first_violation(evals, low, d) is None:
-            best = max(best, d)
-    certificate = BetaTable(
-        best, low, tuple(_beta_value(evals, low, best, k) for k in range(low, best + 1))
-    )
-    refutation = None
-    if best < high:
-        k, b = _first_violation(evals, low, best + 1)
-        refutation = (best + 1, k, b)
-    return QDepthResult(best, certificate, low, high, refutation)
+    return scan(evals, low, high, low, high, _flip_active())

@@ -9,8 +9,9 @@ Grammar (ASCII, whitespace-insensitive):
     pairs := INT ":" INT ("," INT ":" INT)*
     ints  := INT ("," INT)*
 
-Parsing checks syntax and arity; elaboration runs the constructors and
-wraps any precondition failure in ElaborationError.
+Parsing checks syntax, arity and nesting depth (at most MAX_NESTING
+constructor levels); elaboration runs the constructors and wraps any
+precondition failure in ElaborationError.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ from .series import (
 )
 
 CONSTRUCTORS = ("table", "poly", "free", "ci", "shift", "sum", "scale", "extend")
+
+# Deepest constructor nesting the parser accepts.  Parsing and elaboration
+# recurse once per level, so the limit keeps both well inside Python's
+# recursion limit and turns deeper input into a ParseError.
+MAX_NESTING = 200
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,10 @@ class _Parser:
             raise ParseError("trailing input", tail[2], ("end of input",))
         return spec
 
-    def expr(self) -> FunctionSpec:
+    def expr(self, depth: int = 1) -> FunctionSpec:
         tok = self.peek()
+        if depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2], ())
         if tok[0] != "name" or tok[1] not in CONSTRUCTORS:
             raise ParseError(f"unknown constructor {tok[1]!r}", tok[2], CONSTRUCTORS)
         self.pos += 1
@@ -131,22 +139,22 @@ class _Parser:
             self.take(")")
             return FunctionSpec(name, (n, tuple(values)))
         if name in ("shift", "scale"):
-            inner = self.expr()
+            inner = self.expr(depth + 1)
             self.take(",")
             amount = self.take_int()
             self.take(")")
             return FunctionSpec(name, (inner, amount))
         if name == "sum":
-            parts = [self.expr()]
+            parts = [self.expr(depth + 1)]
             self.take(",")
-            parts.append(self.expr())
+            parts.append(self.expr(depth + 1))
             while self.peek()[0] == ",":
                 self.take(",")
-                parts.append(self.expr())
+                parts.append(self.expr(depth + 1))
             self.take(")")
             return FunctionSpec("sum", tuple(parts))
         # extend
-        inner = self.expr()
+        inner = self.expr(depth + 1)
         self.take(")")
         return FunctionSpec("extend", (inner,))
 

@@ -10,6 +10,12 @@ The degree-k count vector alpha of the monomials lying in the outer ideal
 but not the inner one is the Hilbert function of a finite module, and the
 depth computed directly from alpha (scanning d in [0, n]) agrees with the
 depth of that function; ``check_qdepth_match`` exercises the equivalence.
+The alpha route has no transform of its own: it runs the Pascal-rule row
+kernel of ``depth`` from k = 0 over the alpha vector padded with one zero
+(row n + 1, which only a refutation reads, is built when the window
+reaches past n), at a cost of O(n^2) big-integer subtractions.  It never
+applies the fault hook, so under ``HILBERTDEPTH_FLIP_BETA`` the two routes
+disagree.
 """
 
 from __future__ import annotations
@@ -17,10 +23,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable
 
-from .depth import BetaTable, QDepthResult, qdepth
+from .depth import QDepthResult, qdepth, scan
 from .errors import (
     GenerationFailedError,
     InvalidQuotientError,
@@ -129,39 +134,17 @@ def m_module(q: SquarefreeQuotient, max_vars: int | None = None) -> HilbertFunct
     return from_table({k: a for k, a in enumerate(alpha) if a})
 
 
-def _beta_from_alpha(alpha: list[int], d: int, k: int) -> int:
-    n = len(alpha) - 1
-    return sum(
-        (-1) ** (k - j) * comb(d - j, k - j) * alpha[j]
-        for j in range(min(k, n) + 1)
-    )
-
-
 def qdepth_from_alpha(alpha: list[int]) -> QDepthResult:
     """Depth of a degree-count vector, scanning d in [0, n].
 
-    Independent of the Hilbert-function route: the transform is summed from
-    j = 0, so certificate tables start at k = 0 and may carry leading zeros.
+    The rows start at k = 0, so certificate tables may carry leading zeros;
+    the reported window is the Hilbert-function one [k0, k0 + h1 // h0].
+    alpha counts as 0 past n, which the refutation row at n + 1 can reach.
     """
     n = len(alpha) - 1
-    best = 0
-    for d in range(n + 1):
-        if all(_beta_from_alpha(alpha, d, k) >= 0 for k in range(d + 1)):
-            best = d
-    certificate = BetaTable(
-        best, 0, tuple(_beta_from_alpha(alpha, best, k) for k in range(best + 1))
-    )
     k0 = next(k for k, a in enumerate(alpha) if a)
     h1 = alpha[k0 + 1] if k0 + 1 <= n else 0
-    low, high = k0, k0 + h1 // alpha[k0]
-    refutation = None
-    if best < high:
-        for k in range(best + 2):
-            b = _beta_from_alpha(alpha, best + 1, k)
-            if b < 0:
-                refutation = (best + 1, k, b)
-                break
-    return QDepthResult(best, certificate, low, high, refutation)
+    return scan([*alpha, 0], 0, n, k0, k0 + h1 // alpha[k0])
 
 
 def qdepth_quotient(q: SquarefreeQuotient, max_vars: int | None = None) -> QDepthResult:

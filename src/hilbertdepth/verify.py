@@ -188,10 +188,12 @@ def verify_ci_truncation(max_n: int, max_degree: int) -> VerificationReport:
 
 def verify_free_modules(trials: int, seed: int, max_n: int = 6) -> VerificationReport:
     """Graded free modules S(a)^n1 + S(a-1)^n2 + sum_j S(a_j) with n1 > n2
-    and a >= a_j + 2 have depth n - a."""
+    and a >= a_j + 2 have depth n - a.  n is drawn from [1, max_n], so an
+    empty range gives no cases."""
     start = time.perf_counter()
     violations = []
     rng = random.Random(seed)
+    trials = trials if max_n >= 1 else 0
     for case in range(trials):
         n = rng.randint(1, max_n)
         a = rng.randint(-4, 4)
@@ -347,13 +349,14 @@ def verify_structural_laws(trials: int, seed: int) -> VerificationReport:
 
 def verify_quotients(trials: int, seed: int, max_n: int = 10) -> VerificationReport:
     """Depth from the alpha vector equals depth of its Hilbert function on
-    seeded random squarefree quotients."""
+    seeded random squarefree quotients in n in [1, max_n] variables (none
+    when that range is empty)."""
     start = time.perf_counter()
     violations = []
     rng = random.Random(seed)
     produced = 0
     attempts = 0
-    while produced < trials and attempts < trials * 20:
+    while max_n >= 1 and produced < trials and attempts < trials * 20:
         attempts += 1
         n = rng.randint(1, max_n)
         upper_count = rng.randint(1, 4)
@@ -402,29 +405,36 @@ def run_battery(
     trials: int | None = None,
     seed: int | None = None,
 ) -> VerificationReport:
-    """Run one named battery, falling back to its default ranges."""
-    seed = DEFAULT_SEED if seed is None else seed
+    """Run one named battery, falling back to its default ranges where a
+    parameter is None (an explicit 0 is an empty range, not the default)."""
+
+    def pick(value: int | None, default: int) -> int:
+        return default if value is None else value
+
+    seed = pick(seed, DEFAULT_SEED)
     name = BATTERY_ALIASES.get(name, name)
     if name == "polyring":
-        return verify_polynomial_rings(max_n or 16)
+        return verify_polynomial_rings(pick(max_n, 16))
     if name == "ci":
-        return verify_complete_intersections(max_n or 5, max_degree or 4)
+        return verify_complete_intersections(pick(max_n, 5), pick(max_degree, 4))
     if name == "ci-recursion":
-        return verify_ci_recursion(trials or 100, seed, max_n or 6, max_degree or 6)
+        return verify_ci_recursion(
+            pick(trials, 100), seed, pick(max_n, 6), pick(max_degree, 6)
+        )
     if name == "ci-truncation":
-        return verify_ci_truncation(max_n or 4, max_degree or 4)
+        return verify_ci_truncation(pick(max_n, 4), pick(max_degree, 4))
     if name == "free":
-        return verify_free_modules(trials or 100, seed, max_n or 6)
+        return verify_free_modules(pick(trials, 100), seed, pick(max_n, 6))
     if name == "extension":
-        return verify_extension(trials or 150, seed)
+        return verify_extension(pick(trials, 150), seed)
     if name == "structural":
-        return verify_structural_laws(trials or 250, seed)
+        return verify_structural_laws(pick(trials, 250), seed)
     if name == "quotients":
-        return verify_quotients(trials or 150, seed, max_n or 8)
+        return verify_quotients(pick(trials, 150), seed, pick(max_n, 8))
     if name == "signs":
-        return check_sign_positivity(max_n or 25)
+        return check_sign_positivity(pick(max_n, 25))
     if name == "beta-identity":
-        return check_beta_identity(max_n or 25)
+        return check_beta_identity(pick(max_n, 25))
     if name == "e-link":
-        return check_derivative_link(max_n or 15)
+        return check_derivative_link(pick(max_n, 15))
     raise ValueError(f"unknown battery {name!r}")

@@ -44,6 +44,14 @@ def test_qdepth_beta_flag():
     assert "[1, 0]" in proc.stdout
 
 
+def test_qdepth_beta_flag_matches_beta_subcommand():
+    for extra in ((), ("--json",)):
+        via_qdepth = run_cli("qdepth", "ci(3; 2, 3)", "--d", "4", *extra)
+        via_beta = run_cli("beta", "ci(3; 2, 3)", "--d", "4", *extra)
+        assert via_qdepth.returncode == via_beta.returncode == 0
+        assert via_qdepth.stdout == via_beta.stdout
+
+
 def test_beta_subcommand():
     proc = run_cli("beta", "poly(1)", "--d=1")
     assert proc.returncode == 0
@@ -54,6 +62,13 @@ def test_parse_error_exit_2():
     proc = run_cli("qdepth", "poly(3")
     assert proc.returncode == 2
     assert "position" in proc.stderr
+
+
+def test_deep_nesting_exit_2():
+    proc = run_cli("qdepth", "extend(" * 1200 + "poly(1)" + ")" * 1200)
+    assert proc.returncode == 2
+    assert "nesting" in proc.stderr and "position" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_elaboration_error_exit_2():
@@ -117,6 +132,12 @@ def test_verify_aliases():
     assert proc.returncode == 0
     proc = run_cli("verify", "qq", "--trials", "20", "--max-n", "5", "--seed", "1")
     assert proc.returncode == 0
+
+
+def test_verify_explicit_zero_range():
+    proc = run_cli("verify", "ci", "--max-n", "0", "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["batteries"][0]["casesRun"] == 0
 
 
 def test_verify_requires_selection():

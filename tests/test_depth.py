@@ -1,8 +1,11 @@
 """Beta transform, inversion, window bounds, and the depth search."""
 
 import random
+from contextlib import contextmanager
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hilbertdepth import (
     OutOfRangeError,
@@ -16,11 +19,13 @@ from hilbertdepth import (
     from_table,
     polynomial_ring,
     qdepth,
+    qdepth_from_alpha,
     reconstruct,
     scale,
     shift,
 )
 from hilbertdepth.combinatorics import binomial
+from hilbertdepth.depth import FLIP_BETA_ENV, _rows
 
 
 def beta_oracle(h, d, k):
@@ -180,8 +185,6 @@ def test_parity_of_extended_diagonal():
 
 
 def test_flip_hook_negates_diagonal(monkeypatch):
-    from hilbertdepth.depth import FLIP_BETA_ENV
-
     h = polynomial_ring(3)
     clean = beta(h, 3, 3)
     monkeypatch.setenv(FLIP_BETA_ENV, "1")
@@ -189,3 +192,126 @@ def test_flip_hook_negates_diagonal(monkeypatch):
     assert qdepth(h).qdepth == 0
     monkeypatch.delenv(FLIP_BETA_ENV)
     assert beta(h, 3, 3) == clean
+
+
+def test_qdepth_wide_polynomial_ring():
+    result = qdepth(polynomial_ring(512))
+    assert result.qdepth == 512
+    assert result.refutation is None
+    assert min(result.certificate.values) >= 0
+
+
+# Hypothesis strategies: small functions from the standard constructions,
+# closed under extension, sums and shifts.
+_tables = st.builds(
+    lambda start, values: from_table({start + i: v for i, v in enumerate(values)}),
+    st.integers(-4, 4),
+    st.lists(st.integers(0, 9), min_size=1, max_size=6).filter(lambda v: v[0] > 0),
+)
+_cis = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.integers(2, 4), max_size=n).map(
+        lambda degrees: complete_intersection(n, degrees)
+    )
+)
+_frees = st.builds(
+    free_module, st.integers(1, 4), st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+)
+functions = st.recursive(
+    st.one_of(_tables, st.integers(1, 6).map(polynomial_ring), _cis, _frees),
+    lambda inner: st.one_of(
+        inner.map(extend),
+        st.tuples(inner, inner).map(lambda pair: pair[0] + pair[1]),
+        st.tuples(inner, st.integers(-3, 3)).map(lambda pair: shift(*pair)),
+    ),
+    max_leaves=4,
+)
+
+
+@contextmanager
+def _flip_env(flip):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(FLIP_BETA_ENV, raising=False)
+        if flip:
+            mp.setenv(FLIP_BETA_ENV, "1")
+        yield
+
+
+def reference_scan(h):
+    """Exhaustive scan of the window written against the closed-form beta:
+    (feasible depths, depth, certificate values, refutation)."""
+    low, high = bounds(h)
+
+    def row(d):
+        return [beta(h, d, k) for k in range(low, d + 1)]
+
+    feasible = [d for d in range(low, high + 1) if min(row(d)) >= 0]
+    best = max(feasible)
+    refutation = None
+    if best < high:
+        following = row(best + 1)
+        k = next(i for i, b in enumerate(following) if b < 0)
+        refutation = (best + 1, low + k, following[k])
+    return feasible, best, tuple(row(best)), refutation
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(h=functions, extra=st.integers(0, 4))
+def test_kernel_rows_match_closed_form(flip, h, extra):
+    low, high = bounds(h)
+    top = min(high, low + 24) + extra
+    evals = [h.evaluate(j) for j in range(low, top + 1)]
+    with _flip_env(flip):
+        rows = list(_rows(evals, low, top, flip))
+        assert [d for d, _ in rows] == list(range(low, top + 1))
+        for d, row in rows:
+            assert row == [beta(h, d, k) for k in range(low, d + 1)]
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(h=functions)
+def test_scans_match_reference_scan(flip, h):
+    low, high = bounds(h)
+    assume(high - low <= 24)
+    with _flip_env(flip):
+        feasible, best, values, refutation = reference_scan(h)
+        result = qdepth(h)
+        assert feasible_depths(h) == feasible
+        assert result.qdepth == best
+        assert result.certificate.values == values
+        assert result.certificate.start_k == h.k0
+        assert result.refutation == refutation
+        assert beta_table(h, best).values == values
+
+
+def alpha_beta_oracle(alpha, d, k):
+    """beta from k = 0 over alpha, with alpha = 0 past its end."""
+    return sum(
+        (-1) ** (k - j) * comb(d - j, k - j) * alpha[j]
+        for j in range(min(k, len(alpha) - 1) + 1)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.lists(st.integers(0, 40), min_size=1, max_size=10).filter(any))
+def test_alpha_route_matches_closed_form(alpha):
+    n = len(alpha) - 1
+    k0 = next(k for k, a in enumerate(alpha) if a)
+    high = k0 + (alpha[k0 + 1] if k0 < n else 0) // alpha[k0]
+
+    def row(d):
+        return [alpha_beta_oracle(alpha, d, k) for k in range(d + 1)]
+
+    best = max(d for d in range(n + 1) if min(row(d)) >= 0)
+    refutation = None
+    if best < high:
+        following = row(best + 1)
+        k = next((i for i, b in enumerate(following) if b < 0), None)
+        if k is not None:
+            refutation = (best + 1, k, following[k])
+    result = qdepth_from_alpha(alpha)
+    assert result.qdepth == best
+    assert result.certificate.values == tuple(row(best))
+    assert (result.lower_bound, result.upper_bound) == (k0, high)
+    assert result.refutation == refutation

@@ -15,6 +15,7 @@ from hilbertdepth import (
     scale,
     shift,
 )
+from hilbertdepth.dsl import MAX_NESTING
 
 
 def test_constructor_round_trips():
@@ -86,3 +87,17 @@ def test_spec_tree_shape():
     assert spec.op == "shift"
     assert spec.args[1] == 4
     assert spec.args[0].op == "poly"
+
+
+def test_nesting_limit():
+    # MAX_NESTING constructor levels parse; one more is a ParseError at the
+    # constructor that crosses the limit
+    deep = "extend(" * (MAX_NESTING - 1) + "poly(1)" + ")" * (MAX_NESTING - 1)
+    assert parse_function(deep) == polynomial_ring(MAX_NESTING)
+    too_deep = "extend(" * MAX_NESTING + "poly(1)" + ")" * MAX_NESTING
+    with pytest.raises(ParseError) as info:
+        parse_spec(too_deep)
+    assert info.value.position == len("extend(") * MAX_NESTING
+    nested_sums = "sum(" * MAX_NESTING + "poly(1)" + ", poly(1))" * MAX_NESTING
+    with pytest.raises(ParseError):
+        parse_spec(nested_sums)

@@ -21,11 +21,13 @@ from hilbertdepth import (
     check_qdepth_match,
     from_table,
     m_module,
+    qdepth_from_alpha,
     qdepth_quotient,
     random_quotient,
     reconstruct,
 )
 from hilbertdepth.combinatorics import binomial
+from hilbertdepth.depth import _rows
 from hilbertdepth.squarefree import format_ideal, format_monomial, minimalize, parse_ideal
 
 
@@ -153,9 +155,9 @@ def test_m_module():
 
 
 def test_beta_consistency_between_routes():
+    # the alpha route's rows, certificate and refutation against the
+    # closed-form beta of the quotient's Hilbert function
     rng = random.Random(29)
-    from hilbertdepth.squarefree import _beta_from_alpha
-
     for case in range(30):
         n = rng.randint(1, 6)
         try:
@@ -164,13 +166,21 @@ def test_beta_consistency_between_routes():
             continue
         alpha = alpha_vector(q)
         h = m_module(q)
-        for d in range(n + 1):
-            for k in range(d + 1):
-                direct = _beta_from_alpha(alpha, d, k)
-                if k < h.k0:
-                    assert direct == 0
-                else:
-                    assert direct == beta(h, d, k)
+
+        def closed_form(d, k):
+            return 0 if k < h.k0 else beta(h, d, k)
+
+        for d, row in _rows([*alpha, 0], 0, n + 1):
+            assert row == [closed_form(d, k) for k in range(d + 1)]
+        result = qdepth_from_alpha(alpha)
+        certificate = result.certificate
+        assert certificate.start_k == 0 and certificate.d == result.qdepth
+        for k in range(result.qdepth + 1):
+            assert certificate.value(k) == closed_form(result.qdepth, k)
+        if result.refutation is not None:
+            d, k, b = result.refutation
+            assert d == result.qdepth + 1 and b < 0
+            assert closed_form(d, k) == b
 
 
 def test_depth_routes_match():

@@ -32,6 +32,17 @@ def test_every_battery_runs_green():
         assert report.cases_run > 0
 
 
+def test_explicit_zero_is_not_the_default():
+    assert run_battery("ci").cases_run == 125
+    assert run_battery("ci", max_n=0).cases_run == 0
+    assert run_battery("polyring", max_n=0).cases_run == 0
+    for name in ("free", "quotients"):
+        assert run_battery(name, max_n=0).cases_run == 0
+        assert run_battery(name, trials=0).cases_run == 0
+    for name in BATTERY_NAMES:
+        assert run_battery(name, max_n=0, max_degree=0, trials=0).passed
+
+
 def test_reports_are_deterministic():
     a = verify_structural_laws(30, 99)
     b = verify_structural_laws(30, 99)
