@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sqf.add_argument("lower", nargs="?", default="0",
                        help='inner ideal (default "0")')
     p_sqf.add_argument("--max-vars", type=int, default=None,
-                       help=f"enumeration cap override (ceiling {HARD_VARIABLE_CAP})")
+                       help=f"variable cap override (ceiling {HARD_VARIABLE_CAP})")
     p_sqf.add_argument("--json", action="store_true")
     p_sqf.set_defaults(func=cmd_sqf)
 

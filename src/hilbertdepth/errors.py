@@ -32,7 +32,7 @@ class OutOfRangeError(HilbertDepthError):
 
 
 class TooManyVariablesError(HilbertDepthError):
-    """Variable count above the subset-enumeration cap."""
+    """Variable count above the cap on 2^n-bit alpha bitsets."""
 
 
 class GenerationFailedError(HilbertDepthError):

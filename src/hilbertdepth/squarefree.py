@@ -7,15 +7,21 @@ a subset test against some generator.  The empty generator set is the zero
 ideal, the single mask 0 generates the whole ring.
 
 The degree-k count vector alpha of the monomials lying in the outer ideal
-but not the inner one is the Hilbert function of a finite module, and the
-depth computed directly from alpha (scanning d in [0, n]) agrees with the
-depth of that function; ``check_qdepth_match`` exercises the equivalence.
-The alpha route has no transform of its own: it runs the Pascal-rule row
-kernel of ``depth`` from k = 0 over the alpha vector padded with one zero
-(row n + 1, which only a refutation reads, is built when the window
-reaches past n), at a cost of O(n^2) big-integer subtractions.  It never
-applies the fault hook, so under ``HILBERTDEPTH_FLIP_BETA`` the two routes
-disagree.
+but not the inner one is the Hilbert function of a finite module.  It is
+counted on bitsets held in Python ints, with no interpreter loop over the
+2^n masks: bit m of a 2^n-bit int says whether mask m lies in a set of
+monomials, an ideal is the OR of its generators' multiples, the quotient is
+``upper & ~lower``, and each degree count is a popcount against a fixed
+layer of the masks of that degree (see ``alpha_vector``).
+
+The depth computed directly from alpha (scanning d in [0, n]) agrees with
+the depth of that function; ``check_qdepth_match`` exercises the
+equivalence.  The alpha route has no transform of its own: it runs the
+Pascal-rule row kernel of ``depth`` from k = 0 over the alpha vector padded
+with one zero (row n + 1, which only a refutation reads, is built when the
+window reaches past n), at a cost of O(n^2) big-integer subtractions.  It
+never applies the fault hook, so under ``HILBERTDEPTH_FLIP_BETA`` the two
+routes disagree.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import Iterable
 
 from .depth import QDepthResult, qdepth, scan
 from .errors import (
+    EmptyFunctionError,
     GenerationFailedError,
     InvalidQuotientError,
     ParseError,
@@ -111,21 +118,71 @@ def _resolve_cap(n: int, max_vars: int | None) -> None:
     cap = DEFAULT_VARIABLE_CAP if max_vars is None else min(max_vars, HARD_VARIABLE_CAP)
     if n > cap:
         raise TooManyVariablesError(
-            f"n={n} exceeds the enumeration cap {cap} (hard ceiling {HARD_VARIABLE_CAP})"
+            f"n={n} exceeds the variable cap {cap} (hard ceiling {HARD_VARIABLE_CAP})"
         )
+
+
+# Degree counts are taken 2^_CHUNK_BITS masks at a time.  _LAYERS[j] has
+# bit m set, for m < 2^_CHUNK_BITS, exactly when m has j bits set; the
+# 13 layers are 4096-bit ints, so layers for all n bits (about (n+1) * 2^n
+# bits) are never built.
+_CHUNK_BITS = 12
+
+
+def _popcount_layers(bits: int) -> tuple[int, ...]:
+    layers = [1]
+    for i in range(bits):
+        width = 1 << i
+        layers = [a | b << width for a, b in zip([*layers, 0], [0, *layers])]
+    return tuple(layers)
+
+
+_LAYERS = _popcount_layers(_CHUNK_BITS)
+
+
+def _members(ideal: SquarefreeIdeal, n: int) -> int:
+    """The 2^n-bit set of the ideal's monomials: bit m is set iff mask m is
+    a multiple of some generator.
+
+    A generator's multiples are built by n doublings from {0}: variable i
+    either must divide (shift every mask up by bit i) or is free (keep each
+    mask with and without bit i).
+    """
+    members = 0
+    for g in ideal.generators:
+        multiples = 1
+        for i in range(n):
+            step = 1 << i
+            if g >> i & 1:
+                multiples <<= step
+            else:
+                multiples |= multiples << step
+        members |= multiples
+    return members
 
 
 def alpha_vector(q: SquarefreeQuotient, max_vars: int | None = None) -> list[int]:
     """Count, per degree, the squarefree monomials in upper minus lower.
 
-    Full 2^n enumeration; entry k counts the masks of popcount k.
+    The quotient's monomials form one 2^n-bit int (see ``_members``).  It is
+    cut into chunks of 2^12 masks sharing their high bits h; chunk h adds
+    its popcount against layer j to degree popcount(h) + j.  The loop runs
+    2^(n-12) times, once for n <= 12, and memory stays at a few 2^n-bit
+    ints: 128 KiB each at n = 20, 32 MiB each at the hard cap n = 28.
     """
     _resolve_cap(q.n, max_vars)
-    alpha = [0] * (q.n + 1)
-    for mask in range(1 << q.n):
-        if q.upper.contains(mask) and not q.lower.contains(mask):
-            alpha[bin(mask).count("1")] += 1
-    return alpha
+    n = q.n
+    members = _members(q.upper, n) & ~_members(q.lower, n)
+    chunk_bytes = 1 << (_CHUNK_BITS - 3)
+    chunks = 1 << max(n - _CHUNK_BITS, 0)
+    data = members.to_bytes(chunks * chunk_bytes, "little")
+    alpha = [0] * (max(n, _CHUNK_BITS) + 1)
+    for h in range(chunks):
+        chunk = int.from_bytes(data[h * chunk_bytes:(h + 1) * chunk_bytes], "little")
+        base = h.bit_count()
+        for j, layer in enumerate(_LAYERS):
+            alpha[base + j] += (chunk & layer).bit_count()
+    return alpha[: n + 1]
 
 
 def m_module(q: SquarefreeQuotient, max_vars: int | None = None) -> HilbertFunction:
@@ -140,9 +197,12 @@ def qdepth_from_alpha(alpha: list[int]) -> QDepthResult:
     The rows start at k = 0, so certificate tables may carry leading zeros;
     the reported window is the Hilbert-function one [k0, k0 + h1 // h0].
     alpha counts as 0 past n, which the refutation row at n + 1 can reach.
+    An empty or all-zero vector raises EmptyFunctionError.
     """
     n = len(alpha) - 1
-    k0 = next(k for k, a in enumerate(alpha) if a)
+    k0 = next((k for k, a in enumerate(alpha) if a), None)
+    if k0 is None:
+        raise EmptyFunctionError("alpha vector has no nonzero entry")
     h1 = alpha[k0 + 1] if k0 + 1 <= n else 0
     return scan([*alpha, 0], 0, n, k0, k0 + h1 // alpha[k0])
 
@@ -153,8 +213,11 @@ def qdepth_quotient(q: SquarefreeQuotient, max_vars: int | None = None) -> QDept
 
 
 def check_qdepth_match(q: SquarefreeQuotient, max_vars: int | None = None) -> bool:
-    """The alpha-vector depth against the depth of its Hilbert function."""
-    return qdepth_quotient(q, max_vars).qdepth == qdepth(m_module(q, max_vars)).qdepth
+    """The alpha-vector depth against the depth of its Hilbert function,
+    both from one count of the alpha vector."""
+    alpha = alpha_vector(q, max_vars)
+    table = from_table({k: a for k, a in enumerate(alpha) if a})
+    return qdepth_from_alpha(alpha).qdepth == qdepth(table).qdepth
 
 
 def random_quotient(
@@ -165,12 +228,14 @@ def random_quotient(
     Samples nonconstant generator masks for the outer ideal, then forces
     each sampled inner generator into it by multiplying with an outer
     generator when needed.  Degenerate draws (equal ideals) are retried a
-    bounded number of times.
+    bounded number of times.  With one variable an inner generator always
+    equals the outer ideal (x1), so such a request fails without drawing.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = random.Random(seed)
-    for _ in range(200):
+    attempts = 0 if n == 1 and gen_count_lower > 0 else 200
+    for _ in range(attempts):
         upper_masks = [rng.randrange(1, 1 << n) for _ in range(gen_count_upper)]
         if not upper_masks:
             break

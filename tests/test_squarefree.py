@@ -2,14 +2,21 @@
 
 The alpha oracle below enumerates variable subsets with itertools instead
 of scanning masks, and ideal membership is re-derived from set inclusion.
+A second oracle counts by inclusion-exclusion over generator subsets, which
+costs 2^g instead of 2^n and so reaches n = 20.
 """
 
+import functools
 import itertools
+import operator
 import random
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hilbertdepth import (
+    EmptyFunctionError,
     GenerationFailedError,
     InvalidQuotientError,
     ParseError,
@@ -26,6 +33,7 @@ from hilbertdepth import (
     random_quotient,
     reconstruct,
 )
+from hilbertdepth import squarefree
 from hilbertdepth.combinatorics import binomial
 from hilbertdepth.depth import _rows
 from hilbertdepth.squarefree import format_ideal, format_monomial, minimalize, parse_ideal
@@ -52,6 +60,45 @@ def alpha_oracle(q):
         if in_upper and not in_lower:
             counts[len(subset)] += 1
     return counts
+
+
+def ideal_count_oracle(n, generators):
+    """Degree-k counts of an ideal's monomials by inclusion-exclusion over
+    nonempty generator subsets T: the sum of (-1)^(|T|+1) C(n - |lcm T|,
+    k - |lcm T|), where the lcm of squarefree monomials is their union."""
+    counts = [0] * (n + 1)
+    gens = sorted(generators)
+    for size in range(1, len(gens) + 1):
+        sign = 1 if size % 2 else -1
+        for subset in itertools.combinations(gens, size):
+            d = bin(functools.reduce(operator.or_, subset)).count("1")
+            for k in range(d, n + 1):
+                counts[k] += sign * comb(n - d, k - d)
+    return counts
+
+
+def alpha_inclusion_exclusion(q):
+    """lower lies in upper, so alpha is the difference of their counts."""
+    upper = ideal_count_oracle(q.n, q.upper.generators)
+    lower = ideal_count_oracle(q.n, q.lower.generators)
+    return [u - l for u, l in zip(upper, lower)]
+
+
+@st.composite
+def quotients(draw):
+    n = draw(st.integers(1, 20))
+    masks = st.integers(0, (1 << n) - 1)
+    upper = SquarefreeIdeal.from_masks(n, draw(st.lists(masks, min_size=1, max_size=5)))
+    ordered = sorted(upper.generators)
+    inner = []
+    for g in draw(st.lists(masks, max_size=4)):
+        if not upper.contains(g):
+            g |= draw(st.sampled_from(ordered))
+        inner.append(g)
+    try:
+        return SquarefreeQuotient(n, upper, SquarefreeIdeal.from_masks(n, inner))
+    except InvalidQuotientError:
+        assume(False)
 
 
 def test_contains():
@@ -107,6 +154,41 @@ def test_alpha_vector_against_oracle():
         assert alpha_vector(q) == alpha_oracle(q)
 
 
+@settings(max_examples=200, deadline=None)
+@given(q=quotients())
+def test_alpha_vector_matches_inclusion_exclusion(q):
+    assert alpha_vector(q) == alpha_inclusion_exclusion(q)
+
+
+def quotient(n, upper, lower):
+    return SquarefreeQuotient(n, parse_ideal(upper, n), parse_ideal(lower, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 12, 13, 14, 20])
+def test_alpha_vector_unit_and_zero_ideals(n):
+    ring = [comb(n, k) for k in range(n + 1)]
+    assert alpha_vector(quotient(n, "1", "0")) == ring
+    assert alpha_vector(quotient(n, "x1", "0")) == [0] + [comb(n - 1, k) for k in range(n)]
+    if n >= 2:
+        multiples = [0, 0] + [comb(n - 2, k) for k in range(n - 1)]
+        assert alpha_vector(quotient(n, "1", "x1*x2")) == [
+            r - m for r, m in zip(ring, multiples)
+        ]
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_alpha_vector_at_chunk_boundary(n):
+    # 2^12 masks form one chunk of the bitset count; n = 13 takes two
+    rng = random.Random(n)
+    for case in range(6):
+        q = random_quotient(n, rng.randrange(2**31), rng.randint(1, 4), rng.randint(0, 3))
+        alpha = alpha_vector(q)
+        assert alpha == alpha_oracle(q) == alpha_inclusion_exclusion(q)
+    top = "*".join(f"x{i}" for i in range(1, n + 1))
+    assert alpha_vector(quotient(n, top, "0")) == [0] * n + [1]
+    assert alpha_vector(quotient(n, "1", top)) == [comb(n, k) for k in range(n)] + [0]
+
+
 def test_alpha_bounds_and_mass():
     rng = random.Random(17)
     for case in range(40):
@@ -143,6 +225,24 @@ def test_qdepth_quotient_examples():
     assert qdepth_quotient(q).qdepth == 3
     q = SquarefreeQuotient(3, parse_ideal("x1*x2", 3), parse_ideal("x1*x2*x3", 3))
     assert qdepth_quotient(q).qdepth == 2
+
+
+def test_qdepth_from_alpha_rejects_zero_vector():
+    for alpha in ([], [0, 0, 0]):
+        with pytest.raises(EmptyFunctionError):
+            qdepth_from_alpha(alpha)
+
+
+def test_check_qdepth_match_counts_alpha_once(monkeypatch):
+    calls = []
+
+    def counted(q, max_vars=None):
+        calls.append(q)
+        return alpha_vector(q, max_vars)
+
+    monkeypatch.setattr(squarefree, "alpha_vector", counted)
+    assert check_qdepth_match(random_quotient(6, 4, 3, 2))
+    assert len(calls) == 1
 
 
 def test_m_module():
