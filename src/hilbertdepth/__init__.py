@@ -21,6 +21,7 @@ from .depth import (
 )
 from .dsl import FunctionSpec, elaborate, parse_function, parse_spec
 from .errors import (
+    BudgetExceededError,
     ElaborationError,
     EmptyFunctionError,
     GenerationFailedError,
@@ -64,6 +65,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetaTable",
+    "BudgetExceededError",
     "CoeffTable",
     "ElaborationError",
     "EmptyFunctionError",

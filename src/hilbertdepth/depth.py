@@ -125,8 +125,7 @@ def _rows(
 
 
 def _window_evaluations(h: HilbertFunction, top: int) -> list[int]:
-    k0 = h.k0
-    return [h.evaluate(j) for j in range(k0, top + 1)]
+    return h.values(h.k0, top)
 
 
 def scan(

@@ -35,6 +35,10 @@ class TooManyVariablesError(HilbertDepthError):
     """Variable count above the cap on 2^n-bit alpha bitsets."""
 
 
+class BudgetExceededError(HilbertDepthError):
+    """A construction would exceed a fixed size cap."""
+
+
 class GenerationFailedError(HilbertDepthError):
     """The random-case generator exhausted its retry budget."""
 

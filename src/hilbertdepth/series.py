@@ -8,22 +8,36 @@ free modules with shifts, complete intersections - produces such a form, and
 the class is closed under pointwise sum, integer scaling, degree shift, and
 adjoining one variable (prefix sums).
 
+A complete intersection's numerator is built on a dense coefficient list,
+one prefix-sum pass per form, so r forms with T numerator terms cost
+O(r*T) big-integer additions; MAX_CI_TERMS caps T before any list exists.
+``HilbertFunction.values`` evaluates a whole window from the numerator
+terms that can reach it, selected once.
+
 The zero function is unrepresentable by design; constructors raise
 EmptyFunctionError instead of building it.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
+from operator import sub
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
+    BudgetExceededError,
     EmptyFunctionError,
     InvalidArityError,
     InvalidDegreeError,
     NegativeValueError,
     TooManyFormsError,
 )
+
+# Largest complete-intersection numerator built, in terms (1 + sum(d_i - 1)).
+# It bounds the list length only: at the cap, one form takes about 0.5 s and
+# 180 MiB, and each further form adds a pass over longer integers.
+MAX_CI_TERMS = 1 << 20
 
 
 class LaurentPolynomial:
@@ -166,15 +180,25 @@ class HilbertFunction:
 
     def evaluate(self, k: int) -> int:
         """Exact value h(k); always a nonnegative integer."""
+        return self._value(k, self.numerator.items())
+
+    def values(self, lo: int, hi: int) -> list[int]:
+        """Exact values h(lo), ..., h(hi); each a nonnegative integer.
+
+        The numerator terms with e <= hi are selected once; every value in
+        the window is summed from them alone.
+        """
+        terms = [(e, c) for e, c in self.numerator.items() if e <= hi]
+        return [self._value(k, terms) for k in range(lo, hi + 1)]
+
+    def _value(self, k: int, terms: Iterable[tuple[int, int]]) -> int:
+        """h(k) summed from ``terms``, which must hold every numerator term
+        with e <= k.  The one place of the closed form and the sign check."""
         p = self.denom_power
         if p == 0:
             value = self.numerator.coeff(k)
         else:
-            value = sum(
-                c * comb(k - e + p - 1, p - 1)
-                for e, c in self.numerator.items()
-                if e <= k
-            )
+            value = sum(c * comb(k - e + p - 1, p - 1) for e, c in terms if e <= k)
         if value < 0:
             raise NegativeValueError(f"coefficient at degree {k} is {value}")
         return value
@@ -214,10 +238,17 @@ class HilbertFunction:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> HilbertFunction:
+        """Inverse of ``to_json_dict``.  With no denominator the coefficients
+        are the values, so every one of them must be nonnegative."""
         num = LaurentPolynomial(
             {int(e): int(c) for e, c in data["numerator"].items()}
         )
-        return cls(num, int(data["denomPower"]))
+        h = cls(num, int(data["denomPower"]))
+        if h.denom_power == 0:
+            for e, c in h.numerator.items():
+                if c < 0:
+                    raise NegativeValueError(f"coefficient at degree {e} is {c}")
+        return h
 
 
 def from_table(values: Mapping[int, int]) -> HilbertFunction:
@@ -259,7 +290,13 @@ def complete_intersection(n: int, degrees: Iterable[int]) -> HilbertFunction:
     """Quotient of the n-variable ring by a regular sequence of forms with
     the given degrees: numerator prod_i (1 + t + ... + t^(d_i - 1)) over
     (1 - t)^(n - r).  Degree 1 contributes an empty factor; r = 0 gives the
-    full ring."""
+    full ring.
+
+    Each factor is one prefix-sum pass over the dense coefficient list: the
+    new coefficient at k is pre[k] - pre[k - d], pre the running sums.  With
+    T = 1 + sum(d_i - 1) numerator terms that is O(r*T) big-integer
+    additions.  T above MAX_CI_TERMS raises BudgetExceededError before any
+    list is built."""
     degree_list = list(degrees)
     if n < 1:
         raise InvalidArityError(f"need at least one variable, got {n}")
@@ -270,9 +307,17 @@ def complete_intersection(n: int, degrees: Iterable[int]) -> HilbertFunction:
     for d in degree_list:
         if d < 1:
             raise InvalidDegreeError(f"form degree {d} is below 1")
-    num = LaurentPolynomial.one()
+    terms = 1 + sum(d - 1 for d in degree_list)
+    if terms > MAX_CI_TERMS:
+        raise BudgetExceededError(
+            f"numerator would have {terms} terms, above the cap {MAX_CI_TERMS}"
+        )
+    coeffs = [1]
     for d in degree_list:
-        num = num * LaurentPolynomial({i: 1 for i in range(d)})
+        if d > 1:
+            pre = list(accumulate(coeffs + [0] * (d - 1)))
+            coeffs = [*pre[:d], *map(sub, pre[d:], pre)]
+    num = LaurentPolynomial(dict(enumerate(coeffs)))
     return HilbertFunction(num, n - len(degree_list))
 
 

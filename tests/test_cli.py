@@ -76,6 +76,14 @@ def test_elaboration_error_exit_2():
     assert proc.returncode == 2
 
 
+def test_ci_term_cap_exit_2():
+    proc = run_cli("qdepth", "ci(2; 1000000000000000)")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "cap" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_spec_from_file(tmp_path):
     spec_file = tmp_path / "fn.txt"
     spec_file.write_text("ci(3; 3)")

@@ -9,9 +9,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hilbertdepth import (
+    BudgetExceededError,
+    ElaborationError,
     EmptyFunctionError,
     HilbertFunction,
     InvalidArityError,
@@ -24,10 +26,12 @@ from hilbertdepth import (
     extend,
     free_module,
     from_table,
+    parse_function,
     polynomial_ring,
     scale,
     shift,
 )
+from hilbertdepth.series import MAX_CI_TERMS
 
 
 def series_values_oracle(h, lo, hi):
@@ -310,3 +314,106 @@ def test_laurent_polynomial_algebra():
     assert (f + f.scaled(-1)).is_zero
     quotient = g.times_one_minus_t().divided_by_one_minus_t()
     assert quotient == g
+
+
+def ci_product_oracle(n, degrees):
+    """The numerator as a product of geometric factors with the general
+    sparse multiplication, over (1 - t)^(n - r)."""
+    num = LaurentPolynomial.one()
+    for d in degrees:
+        num = num * LaurentPolynomial({i: 1 for i in range(d)})
+    return HilbertFunction(num, n - len(degrees))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, 12), max_size=n))
+    )
+)
+def test_complete_intersection_matches_product_oracle(case):
+    n, degrees = case
+    h = complete_intersection(n, degrees)
+    expected = ci_product_oracle(n, degrees)
+    assert h == expected
+    assert h.to_json_dict() == expected.to_json_dict()
+
+
+def test_complete_intersection_large_matches_product_oracle():
+    rng = random.Random(60)
+    degrees = [rng.randint(32, 40) for _ in range(40)]
+    h = complete_intersection(60, degrees)
+    expected = ci_product_oracle(60, degrees)
+    assert h == expected
+    assert h.to_json_dict() == expected.to_json_dict()
+
+
+def test_complete_intersection_term_cap():
+    with pytest.raises(BudgetExceededError):
+        complete_intersection(2, [10**15])
+    with pytest.raises(BudgetExceededError):
+        complete_intersection(3, [MAX_CI_TERMS // 2 + 1, MAX_CI_TERMS // 2 + 1])
+    with pytest.raises(ElaborationError):
+        parse_function("ci(2; 1000000000000000)")
+    # 1 + 4999 + 5000 = 10^4 terms, well under the cap
+    h = complete_intersection(3, [5000, 5001])
+    assert len(list(h.numerator.items())) == 10**4
+    assert h.numerator.sum_of_coeffs() == 5000 * 5001
+    assert h.denom_power == 1
+
+
+@st.composite
+def window_cases(draw):
+    """A Hilbert function with p = 0 or p > 0 and a window that may start
+    below k0 and end past the numerator's top exponent."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        degrees = draw(st.lists(st.integers(1, 6), max_size=n))
+        h = shift(complete_intersection(n, degrees), draw(st.integers(-4, 4)))
+    else:
+        start = draw(st.integers(-5, 5))
+        values = draw(st.lists(st.integers(0, 9), min_size=1, max_size=6))
+        h = from_table({start + i: v for i, v in enumerate([1 + values[0], *values[1:]])})
+        for _ in range(draw(st.integers(0, 4))):
+            h = extend(h)
+    lo = h.k0 - draw(st.integers(0, 3))
+    hi = lo + draw(st.integers(0, 24))
+    return h, lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_cases())
+def test_values_matches_evaluate_and_oracle(case):
+    h, lo, hi = case
+    window = h.values(lo, hi)
+    assert window == [h.evaluate(k) for k in range(lo, hi + 1)]
+    assert window == series_values_oracle(h, lo, hi)
+
+
+def test_values_negative_coefficient_rejected():
+    bad = HilbertFunction(LaurentPolynomial({0: 1, 1: -2, 3: 1}), 0)
+    for lo, hi in ((0, 3), (-2, 5), (1, 1)):
+        with pytest.raises(NegativeValueError):
+            bad.values(lo, hi)
+    assert bad.values(2, 4) == [0, 1, 0]
+    # p > 0: h(0) = 1, then h(k) = -1 for every k >= 1
+    dipping = HilbertFunction(LaurentPolynomial({0: 1, 1: -2}), 1)
+    assert dipping.values(-1, 0) == [0, 1]
+    with pytest.raises(NegativeValueError):
+        dipping.values(0, 1)
+
+
+def test_from_json_dict_rejects_negative_values_without_denominator():
+    for numerator in ({"0": "1", "1": "-2", "3": "1"}, {"0": "2", "5": "-1"}):
+        with pytest.raises(NegativeValueError):
+            HilbertFunction.from_json_dict({"numerator": numerator, "denomPower": 0})
+    # the same function inflated by (1 - t)^2 reduces to p = 0 and is caught
+    inflated = LaurentPolynomial({0: 1, 1: -2, 3: 1}).times_one_minus_t().times_one_minus_t()
+    data = {
+        "numerator": {str(e): str(c) for e, c in inflated.items()},
+        "denomPower": 2,
+    }
+    with pytest.raises(NegativeValueError):
+        HilbertFunction.from_json_dict(data)
+    ok = {"numerator": {"0": "1", "1": "0", "3": "2"}, "denomPower": 0}
+    assert HilbertFunction.from_json_dict(ok) == from_table({0: 1, 3: 2})
