@@ -12,14 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .depth import BetaTable, QDepthResult, beta_table, qdepth
 from .dsl import parse_function
-from .errors import HilbertDepthError, ParseError
+from .errors import HilbertDepthError
 from .hypergeometric import big_e, coeff_table, gauss_2f1
-from .report import VerificationReport
 from .series import from_table
 from .squarefree import (
     HARD_VARIABLE_CAP,
@@ -29,7 +27,7 @@ from .squarefree import (
     parse_ideal,
     qdepth_from_alpha,
 )
-from .verify import BATTERY_ALIASES, BATTERY_NAMES, DEFAULT_SEED, run_battery
+from .verify import BATTERIES, BATTERY_ALIASES, BATTERY_NAMES, DEFAULT_SEED, run_battery
 
 
 def _read_arg(value: str) -> str:
@@ -153,11 +151,6 @@ def cmd_hyp(args: argparse.Namespace) -> int:
     return 0
 
 
-def _battery_job(job: tuple[str, dict]) -> VerificationReport:
-    name, params = job
-    return run_battery(name, **params)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.all:
         names = list(BATTERY_NAMES)
@@ -166,22 +159,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not names:
         print("error: no batteries selected (name some or pass --all)", file=sys.stderr)
         return 2
-    unknown = [b for b in names if b not in BATTERY_NAMES]
+    unknown = [b for b in names if b not in BATTERIES]
     if unknown:
         print(f"error: unknown batteries {unknown}", file=sys.stderr)
         return 2
-    params = {
-        "max_n": args.max_n,
-        "max_degree": args.max_degree,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    jobs = [(name, params) for name in names]
-    if args.parallel and args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            reports = list(pool.map(_battery_job, jobs))
-    else:
-        reports = [_battery_job(job) for job in jobs]
+    reports = [
+        run_battery(name, args.max_n, args.max_degree, args.trials, args.seed)
+        for name in names
+    ]
     total = sum(len(r.violations) for r in reports)
     if args.json:
         _emit_json(
@@ -249,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None,
                           help=f"randomized batteries seed (default {DEFAULT_SEED})")
-    p_verify.add_argument("--parallel", type=int, default=1,
-                          help="worker processes for running batteries")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -262,13 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HilbertDepthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HilbertDepthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

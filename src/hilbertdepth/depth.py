@@ -124,10 +124,6 @@ def _rows(
         yield start + i, [*row[:-1], -row[-1]] if flip else row
 
 
-def _window_evaluations(h: HilbertFunction, top: int) -> list[int]:
-    return h.values(h.k0, top)
-
-
 def scan(
     evals: list[int], start: int, last: int, low: int, high: int, flip: bool = False
 ) -> QDepthResult:
@@ -164,7 +160,7 @@ def beta(h: HilbertFunction, d: int, k: int) -> int:
     k0 = h.k0
     if k < k0 or k > d:
         raise OutOfRangeError(f"k={k} outside [{k0}, {d}]")
-    evals = _window_evaluations(h, k)
+    evals = h.values(k0, k)
     return _beta_value(evals, k0, d, k)
 
 
@@ -173,7 +169,7 @@ def beta_table(h: HilbertFunction, d: int) -> BetaTable:
     k0 = h.k0
     if d < k0:
         raise OutOfRangeError(f"d={d} is below k0={k0}")
-    evals = _window_evaluations(h, d)
+    evals = h.values(k0, d)
     for _, row in _rows(evals, k0, d, _flip_active()):
         pass
     return BetaTable(d, k0, tuple(row))
@@ -205,7 +201,7 @@ def feasible_depths(h: HilbertFunction) -> list[int]:
     Diagnostic view of the feasible set; ``qdepth`` returns its maximum.
     """
     low, high = bounds(h)
-    evals = _window_evaluations(h, high)
+    evals = h.values(low, high)
     return [d for d, row in _rows(evals, low, high, _flip_active()) if min(row) >= 0]
 
 
@@ -216,5 +212,5 @@ def qdepth(h: HilbertFunction) -> QDepthResult:
     because beta(k0, k0) = h(k0) > 0, so the maximum exists.
     """
     low, high = bounds(h)
-    evals = _window_evaluations(h, high)
+    evals = h.values(low, high)
     return scan(evals, low, high, low, high, _flip_active())

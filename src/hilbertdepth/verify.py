@@ -381,21 +381,28 @@ def verify_quotients(trials: int, seed: int, max_n: int = 10) -> VerificationRep
     )
 
 
-BATTERY_ALIASES = {"lemma": "signs", "qq": "quotients"}
+# Each battery with its parameters, in positional order, and their default
+# ranges; the order is the ``verify --all`` order.
+BATTERIES = {
+    "polyring": (verify_polynomial_rings, {"max_n": 16}),
+    "ci": (verify_complete_intersections, {"max_n": 5, "max_degree": 4}),
+    "ci-recursion": (
+        verify_ci_recursion,
+        {"trials": 100, "seed": DEFAULT_SEED, "max_n": 6, "max_degree": 6},
+    ),
+    "ci-truncation": (verify_ci_truncation, {"max_n": 4, "max_degree": 4}),
+    "free": (verify_free_modules, {"trials": 100, "seed": DEFAULT_SEED, "max_n": 6}),
+    "extension": (verify_extension, {"trials": 150, "seed": DEFAULT_SEED}),
+    "structural": (verify_structural_laws, {"trials": 250, "seed": DEFAULT_SEED}),
+    "quotients": (verify_quotients, {"trials": 150, "seed": DEFAULT_SEED, "max_n": 8}),
+    "signs": (check_sign_positivity, {"max_n": 25}),
+    "beta-identity": (check_beta_identity, {"max_n": 25}),
+    "e-link": (check_derivative_link, {"max_n": 15}),
+}
 
-BATTERY_NAMES = (
-    "polyring",
-    "ci",
-    "ci-recursion",
-    "ci-truncation",
-    "free",
-    "extension",
-    "structural",
-    "quotients",
-    "signs",
-    "beta-identity",
-    "e-link",
-)
+BATTERY_NAMES = tuple(BATTERIES)
+
+BATTERY_ALIASES = {"lemma": "signs", "qq": "quotients"}
 
 
 def run_battery(
@@ -407,34 +414,11 @@ def run_battery(
 ) -> VerificationReport:
     """Run one named battery, falling back to its default ranges where a
     parameter is None (an explicit 0 is an empty range, not the default)."""
-
-    def pick(value: int | None, default: int) -> int:
-        return default if value is None else value
-
-    seed = pick(seed, DEFAULT_SEED)
-    name = BATTERY_ALIASES.get(name, name)
-    if name == "polyring":
-        return verify_polynomial_rings(pick(max_n, 16))
-    if name == "ci":
-        return verify_complete_intersections(pick(max_n, 5), pick(max_degree, 4))
-    if name == "ci-recursion":
-        return verify_ci_recursion(
-            pick(trials, 100), seed, pick(max_n, 6), pick(max_degree, 6)
-        )
-    if name == "ci-truncation":
-        return verify_ci_truncation(pick(max_n, 4), pick(max_degree, 4))
-    if name == "free":
-        return verify_free_modules(pick(trials, 100), seed, pick(max_n, 6))
-    if name == "extension":
-        return verify_extension(pick(trials, 150), seed)
-    if name == "structural":
-        return verify_structural_laws(pick(trials, 250), seed)
-    if name == "quotients":
-        return verify_quotients(pick(trials, 150), seed, pick(max_n, 8))
-    if name == "signs":
-        return check_sign_positivity(pick(max_n, 25))
-    if name == "beta-identity":
-        return check_beta_identity(pick(max_n, 25))
-    if name == "e-link":
-        return check_derivative_link(pick(max_n, 15))
-    raise ValueError(f"unknown battery {name!r}")
+    try:
+        battery, defaults = BATTERIES[BATTERY_ALIASES.get(name, name)]
+    except KeyError:
+        raise ValueError(f"unknown battery {name!r}") from None
+    given = {"max_n": max_n, "max_degree": max_degree, "trials": trials, "seed": seed}
+    return battery(
+        *(default if given[p] is None else given[p] for p, default in defaults.items())
+    )

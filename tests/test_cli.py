@@ -10,19 +10,23 @@ REPO = Path(__file__).resolve().parents[1]
 FLIP_ENV = "HILBERTDEPTH_FLIP_BETA"
 
 
-def run_cli(*argv, flip=False):
+def run_python(*argv, flip=False):
     env = os.environ.copy()
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     env.pop(FLIP_ENV, None)
     if flip:
         env[FLIP_ENV] = "1"
     return subprocess.run(
-        [sys.executable, "-m", "hilbertdepth", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         cwd=REPO,
     )
+
+
+def run_cli(*argv, flip=False):
+    return run_python("-m", "hilbertdepth", *argv, flip=flip)
 
 
 def test_qdepth_poly():
@@ -205,11 +209,21 @@ def test_json_byte_identical():
     assert c.stdout == d.stdout
 
 
-def test_verify_parallel_matches_serial():
-    serial = run_cli("verify", "polyring", "ci", "free", "--json")
-    parallel = run_cli("verify", "polyring", "ci", "free", "--parallel", "3", "--json")
-    assert serial.returncode == parallel.returncode == 0
-    assert serial.stdout == parallel.stdout
+def test_verify_has_no_parallel_option():
+    proc = run_cli("verify", "polyring", "--parallel", "2")
+    assert proc.returncode == 2
+    assert "--parallel" in proc.stderr
+
+
+def test_cli_import_loads_no_process_pool():
+    proc = run_python(
+        "-c",
+        "import sys, hilbertdepth.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_flip_hook_fails_verify():

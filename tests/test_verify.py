@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from hilbertdepth import (
     complete_intersection,
     free_module,
@@ -41,6 +43,24 @@ def test_explicit_zero_is_not_the_default():
         assert run_battery(name, trials=0).cases_run == 0
     for name in BATTERY_NAMES:
         assert run_battery(name, max_n=0, max_degree=0, trials=0).passed
+
+
+def test_registry_defaults_give_the_all_order_and_counts():
+    counts = [run_battery(name).cases_run for name in BATTERY_NAMES]
+    assert counts == [16, 125, 100, 35, 100, 150, 250, 150, 325, 350, 238]
+
+
+def test_aliases_run_their_battery():
+    assert run_battery("lemma").to_json_dict() == run_battery("signs").to_json_dict()
+    assert (
+        run_battery("qq", trials=20, seed=3).to_json_dict()
+        == run_battery("quotients", trials=20, seed=3).to_json_dict()
+    )
+
+
+def test_unknown_battery_raises():
+    with pytest.raises(ValueError, match="nosuch"):
+        run_battery("nosuch")
 
 
 def test_reports_are_deterministic():
