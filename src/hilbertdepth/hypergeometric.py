@@ -3,7 +3,9 @@
 ``gauss_2f1(k, n)`` evaluates the Gauss series with parameters
 (-k, n, -n) at argument -1.  The first parameter is a nonpositive integer,
 so the series terminates after k + 1 terms and the value is an exact
-rational; for k <= n the lower parameter never hits a pole.
+rational; for k <= n the lower parameter never hits a pole.  The sum is
+taken by Horner's rule on integer numerator and denominator, with one
+``Fraction`` built at the end.
 
 ``big_e(n, k)`` is the integer alternating sum
 
@@ -37,21 +39,26 @@ from .series import polynomial_ring
 
 
 def gauss_2f1(k: int, n: int) -> Fraction:
-    """Exact value of the terminating Gauss sum at (-k, n, -n; -1)."""
+    """Exact value of the terminating Gauss sum at (-k, n, -n; -1).
+
+    Consecutive terms have ratio r_j = a_j / b_j with a_j = (k - j)(n + j)
+    and b_j = (j - n)(j + 1), so the sum is 1 + r_0 (1 + r_1 (1 + ...
+    (1 + r_(k-1)))).  Horner's rule from the inside keeps it as one integer
+    fraction N / D (N <- b_j D + a_j N, D <- b_j D); a single Fraction is
+    built at the end.
+    """
     if n < 1:
         raise OutOfRangeError(f"need n >= 1, got {n}")
     if not 0 <= k <= n:
         raise OutOfRangeError(f"need 0 <= k <= n, got k={k}, n={n}")
-    total = Fraction(0)
-    term = Fraction(1)
-    for j in range(k + 1):
-        total += term
-        if j < k:
-            # (-n + j) is the next lower-parameter factor; j < k <= n keeps
-            # it strictly negative, never zero.
-            assert -n + j != 0
-            term *= Fraction((-k + j) * (n + j) * (-1), (-n + j) * (j + 1))
-    return total
+    num = den = 1
+    for j in range(k - 1, -1, -1):
+        # (j - n) is the lower-parameter factor; j < k <= n keeps it
+        # strictly negative, never zero.
+        assert -n + j != 0
+        b = (j - n) * (j + 1)
+        num, den = b * den + (k - j) * (n + j) * num, b * den
+    return Fraction(num, den)
 
 
 def big_e(n: int, k: int) -> int:

@@ -10,7 +10,8 @@ adjoining one variable (prefix sums).
 
 A complete intersection's numerator is built on a dense coefficient list,
 one prefix-sum pass per form, so r forms with T numerator terms cost
-O(r*T) big-integer additions; MAX_CI_TERMS caps T before any list exists.
+O(r*T) big-integer additions; MAX_CI_TERMS caps T and MAX_CI_WORK caps r*T
+before any list exists.
 ``HilbertFunction.values`` evaluates a whole window from the numerator
 terms that can reach it, selected once.
 
@@ -38,6 +39,10 @@ from .errors import (
 # It bounds the list length only: at the cap, one form takes about 0.5 s and
 # 180 MiB, and each further form adds a pass over longer integers.
 MAX_CI_TERMS = 1 << 20
+# Largest build work, in terms times prefix-sum passes (forms of degree > 1),
+# an upper bound on the big-integer additions.  The heaviest benchmark
+# expressions need about 6 * 10^4.
+MAX_CI_WORK = 1 << 21
 
 
 class LaurentPolynomial:
@@ -239,7 +244,10 @@ class HilbertFunction:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> HilbertFunction:
         """Inverse of ``to_json_dict``.  With no denominator the coefficients
-        are the values, so every one of them must be nonnegative."""
+        are the values, so every one of them must be nonnegative.  With one,
+        h(k) for large k has the sign of the numerator's value at t = 1,
+        which must therefore be positive; values before that are not
+        checked here."""
         num = LaurentPolynomial(
             {int(e): int(c) for e, c in data["numerator"].items()}
         )
@@ -248,6 +256,11 @@ class HilbertFunction:
             for e, c in h.numerator.items():
                 if c < 0:
                     raise NegativeValueError(f"coefficient at degree {e} is {c}")
+        elif h.numerator.sum_of_coeffs() < 0:
+            raise NegativeValueError(
+                f"numerator is {h.numerator.sum_of_coeffs()} at t = 1, so the "
+                "values turn negative for large degrees"
+            )
         return h
 
 
@@ -295,8 +308,8 @@ def complete_intersection(n: int, degrees: Iterable[int]) -> HilbertFunction:
     Each factor is one prefix-sum pass over the dense coefficient list: the
     new coefficient at k is pre[k] - pre[k - d], pre the running sums.  With
     T = 1 + sum(d_i - 1) numerator terms that is O(r*T) big-integer
-    additions.  T above MAX_CI_TERMS raises BudgetExceededError before any
-    list is built."""
+    additions.  T above MAX_CI_TERMS, or T times the number of passes above
+    MAX_CI_WORK, raises BudgetExceededError before any list is built."""
     degree_list = list(degrees)
     if n < 1:
         raise InvalidArityError(f"need at least one variable, got {n}")
@@ -311,6 +324,11 @@ def complete_intersection(n: int, degrees: Iterable[int]) -> HilbertFunction:
     if terms > MAX_CI_TERMS:
         raise BudgetExceededError(
             f"numerator would have {terms} terms, above the cap {MAX_CI_TERMS}"
+        )
+    work = terms * sum(d > 1 for d in degree_list)
+    if work > MAX_CI_WORK:
+        raise BudgetExceededError(
+            f"numerator would take {work} term additions, above the cap {MAX_CI_WORK}"
         )
     coeffs = [1]
     for d in degree_list:

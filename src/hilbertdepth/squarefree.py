@@ -64,9 +64,10 @@ class SquarefreeIdeal:
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> SquarefreeIdeal:
         mask_list = list(masks)
-        limit = 1 << n
         for m in mask_list:
-            if not 0 <= m < limit:
+            # bit_length, not a comparison with 1 << n: n may be far above
+            # the variable cap, which is checked only when alpha is counted.
+            if m < 0 or m.bit_length() > n:
                 raise ValueError(f"mask {m} uses variables beyond x{n}")
         return cls(n, minimalize(mask_list))
 

@@ -12,7 +12,15 @@ import json
 import random
 import time
 
-from .depth import beta, beta_table, qdepth, reconstruct
+from .depth import (
+    BetaTable,
+    _flip_active,
+    _rows,
+    beta,
+    beta_table,
+    qdepth,
+    reconstruct,
+)
 from .errors import GenerationFailedError
 from .hypergeometric import (
     check_beta_identity,
@@ -168,14 +176,11 @@ def verify_ci_truncation(max_n: int, max_degree: int) -> VerificationReport:
                     n, list(degrees) + [n + 1] * (n - r)
                 )
                 descriptor = f"n={n} degrees={list(degrees)}"
-                for j in range(n + 1):
-                    if plain.evaluate(j) != padded.evaluate(j):
+                pairs = zip(plain.values(0, n), padded.values(0, n))
+                for j, (a, b) in enumerate(pairs):
+                    if a != b:
                         violations.append(
-                            Violation(
-                                f"{descriptor} value j={j}",
-                                str(plain.evaluate(j)),
-                                str(padded.evaluate(j)),
-                            )
+                            Violation(f"{descriptor} value j={j}", str(a), str(b))
                         )
                 if beta_table(plain, n) != beta_table(padded, n):
                     violations.append(
@@ -215,16 +220,20 @@ def verify_free_modules(trials: int, seed: int, max_n: int = 6) -> VerificationR
     )
 
 
-def _parity_violation(h: HilbertFunction, descriptor: str) -> Violation | None:
+def _parity_violation(
+    h: HilbertFunction, descriptor: str, flip: bool
+) -> Violation | None:
     """Top entry of the extended function's beta row at d equals the sum of
-    h over degrees of the same parity as d."""
-    extended = extend(h)
+    h over degrees of the same parity as d.  The left side is the diagonal
+    of one kernel pass over the extended function's values, the right side
+    a parity sum of h's own values."""
     k0 = h.k0
-    for d in range(k0, k0 + 11):
-        lhs = beta(extended, d, d)
-        rhs = sum(h.evaluate(m) for m in range(k0, d + 1) if (d - m) % 2 == 0)
-        if lhs != rhs:
-            return Violation(f"{descriptor} parity d={d}", str(rhs), str(lhs))
+    evals = h.values(k0, k0 + 10)
+    extended = extend(h).values(k0, k0 + 10)
+    for d, row in _rows(extended, k0, k0 + 10, flip):
+        rhs = sum(evals[d - k0::-2])
+        if row[-1] != rhs:
+            return Violation(f"{descriptor} parity d={d}", str(rhs), str(row[-1]))
     return None
 
 
@@ -243,7 +252,7 @@ def verify_extension(trials: int, seed: int) -> VerificationReport:
             violations.append(
                 Violation(f"{descriptor} extension", f">= {base}", str(lifted))
             )
-        parity = _parity_violation(h, descriptor)
+        parity = _parity_violation(h, descriptor, _flip_active())
         if parity is not None:
             violations.append(parity)
     return VerificationReport(
@@ -254,7 +263,12 @@ def verify_extension(trials: int, seed: int) -> VerificationReport:
 def verify_structural_laws(trials: int, seed: int) -> VerificationReport:
     """Shift equivariance, scale invariance, superadditivity over sums,
     extension monotonicity, window containment, finite-support cap, exact
-    inversion, and the parity identity, on seeded random functions."""
+    inversion, and the parity identity, on seeded random functions.
+
+    Each case reads h over its inversion window once and walks one kernel
+    pass over it: every row d = k0..k0 + 12 must give back those values
+    through ``reconstruct``'s closed form.  The parity check reads h and
+    its extension over one window each (see ``_parity_violation``)."""
     start = time.perf_counter()
     violations = []
     rng = random.Random(seed)
@@ -320,14 +334,16 @@ def verify_structural_laws(trials: int, seed: int) -> VerificationReport:
             violations.append(
                 Violation(f"{descriptor} extension", f">= {d0}", str(qdepth(extend(h)).qdepth))
             )
+        flip = _flip_active()
         k0 = h.k0
-        for d in range(k0, k0 + 13):
-            table = beta_table(h, d)
+        evals = h.values(k0, k0 + 12)
+        for d, row in _rows(evals, k0, k0 + 12, flip):
+            table = BetaTable(d, k0, tuple(row))
             bad = next(
                 (
                     k
                     for k in range(k0, d + 1)
-                    if reconstruct(table, k) != h.evaluate(k)
+                    if reconstruct(table, k) != evals[k - k0]
                 ),
                 None,
             )
@@ -335,11 +351,11 @@ def verify_structural_laws(trials: int, seed: int) -> VerificationReport:
                 violations.append(
                     Violation(
                         f"{descriptor} inversion d={d} k={bad}",
-                        str(h.evaluate(bad)),
+                        str(evals[bad - k0]),
                         str(reconstruct(table, bad)),
                     )
                 )
-        parity = _parity_violation(h, descriptor)
+        parity = _parity_violation(h, descriptor, flip)
         if parity is not None:
             violations.append(parity)
     return VerificationReport(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -88,6 +89,17 @@ def test_ci_term_cap_exit_2():
     assert "cap" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_ci_work_cap_exit_2():
+    spec = "ci(1000; " + ", ".join(["1000"] * 1000) + ")"
+    start = time.perf_counter()
+    proc = run_cli("qdepth", spec)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "cap" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_spec_from_file(tmp_path):
     spec_file = tmp_path / "fn.txt"
     spec_file.write_text("ci(3; 3)")
@@ -118,6 +130,16 @@ def test_sqf_invalid_exit_2():
     assert proc.returncode == 2
     proc = run_cli("sqf", "3", "x9", "0")
     assert proc.returncode == 2
+
+
+def test_sqf_huge_variable_count_exit_2():
+    start = time.perf_counter()
+    proc = run_cli("sqf", "1000000000000", "x1")
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "cap" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_hyp_output():

@@ -37,6 +37,18 @@ def gauss_oracle(k, n):
     return total
 
 
+def gauss_term_oracle(k, n):
+    """The series summed term by term in Fractions, each term the previous
+    one times the ratio (-k + j)(n + j)(-1) / ((-n + j)(j + 1))."""
+    total = Fraction(0)
+    term = Fraction(1)
+    for j in range(k + 1):
+        total += term
+        if j < k:
+            term *= Fraction((-k + j) * (n + j) * (-1), (-n + j) * (j + 1))
+    return total
+
+
 def series_product_oracle(n, krow, order):
     """Coefficients of (1-x)^(krow-1) / (1-x^2)^n by direct convolution."""
     series = geometric_square_series(n, order)
@@ -63,6 +75,14 @@ def test_gauss_matches_second_formula():
     for n in range(1, 16):
         for k in range(n + 1):
             assert gauss_2f1(k, n) == gauss_oracle(k, n)
+
+
+def test_gauss_horner_matches_term_sum_and_second_formula():
+    for n in range(1, 61):
+        for k in range(n + 1):
+            value = gauss_2f1(k, n)
+            assert value == gauss_term_oracle(k, n), (k, n)
+            assert value == gauss_oracle(k, n), (k, n)
 
 
 def test_gauss_range_errors():

@@ -31,7 +31,8 @@ from hilbertdepth import (
     scale,
     shift,
 )
-from hilbertdepth.series import MAX_CI_TERMS
+from hilbertdepth import series
+from hilbertdepth.series import MAX_CI_TERMS, MAX_CI_WORK
 
 
 def series_values_oracle(h, lo, hi):
@@ -362,6 +363,26 @@ def test_complete_intersection_term_cap():
     assert h.denom_power == 1
 
 
+def test_complete_intersection_work_cap():
+    # 1000 forms of degree 1000: T = 999001 is under the term cap, the
+    # 1000 passes over it are not
+    with pytest.raises(BudgetExceededError, match="additions"):
+        complete_intersection(1000, [1000] * 1000)
+    with pytest.raises(ElaborationError):
+        parse_function("ci(1000; " + ", ".join(["1000"] * 1000) + ")")
+    # the heaviest benchmark shape, 40 forms of degree 40, is far below it
+    assert 40 * (1 + 40 * 39) * 30 < MAX_CI_WORK
+
+
+def test_complete_intersection_work_cap_boundary(monkeypatch):
+    # degree-1 forms add no pass: T = 10 terms, 2 passes, work 20
+    monkeypatch.setattr(series, "MAX_CI_WORK", 20)
+    h = complete_intersection(4, [1, 1, 5, 6])
+    assert h.numerator.sum_of_coeffs() == 30
+    with pytest.raises(BudgetExceededError, match="22 term additions"):
+        complete_intersection(4, [1, 1, 5, 7])
+
+
 @st.composite
 def window_cases(draw):
     """A Hilbert function with p = 0 or p > 0 and a window that may start
@@ -417,3 +438,17 @@ def test_from_json_dict_rejects_negative_values_without_denominator():
         HilbertFunction.from_json_dict(data)
     ok = {"numerator": {"0": "1", "1": "0", "3": "2"}, "denomPower": 0}
     assert HilbertFunction.from_json_dict(ok) == from_table({0: 1, 3: 2})
+
+
+def test_from_json_dict_rejects_negative_limit_with_denominator():
+    # value -1 at t = 1 with p = 1: h(k) = 1 - 2 = -1 for every k >= 3
+    data = {"numerator": {"0": "1", "3": "-2"}, "denomPower": 1}
+    with pytest.raises(NegativeValueError, match="t = 1"):
+        HilbertFunction.from_json_dict(data)
+    # p = 2 with value -1 at t = 1: h(k) falls linearly once k >= 3
+    data = {"numerator": {"0": "1", "3": "-2"}, "denomPower": 2}
+    with pytest.raises(NegativeValueError):
+        HilbertFunction.from_json_dict(data)
+    # a negative coefficient with a positive value at t = 1 is accepted
+    ok = {"numerator": {"0": "2", "1": "-1"}, "denomPower": 1}
+    assert HilbertFunction.from_json_dict(ok).values(0, 4) == [2, 1, 1, 1, 1]

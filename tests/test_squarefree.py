@@ -336,6 +336,19 @@ def test_variable_cap():
         )
 
 
+def test_huge_variable_count_reaches_the_cap_check():
+    n = 10**12
+    ideal = SquarefreeIdeal.from_masks(n, [1, 3])
+    assert ideal.generators == frozenset({1})
+    quotient = SquarefreeQuotient(n, parse_ideal("x1", n), parse_ideal("0", n))
+    with pytest.raises(TooManyVariablesError):
+        alpha_vector(quotient)
+    for bad in (-1, 1 << 3):
+        with pytest.raises(ValueError):
+            SquarefreeIdeal.from_masks(3, [bad])
+    assert SquarefreeIdeal.from_masks(3, [0b111]).generators == frozenset({7})
+
+
 def test_parse_and_format():
     ideal = parse_ideal(" x1*x3 , x2 ", 3)
     assert ideal.generators == frozenset({0b101, 0b010})

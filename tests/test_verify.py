@@ -12,8 +12,13 @@ from hilbertdepth import (
     qdepth,
     shift,
 )
+from hilbertdepth.depth import FLIP_BETA_ENV, beta, beta_table, reconstruct
+from hilbertdepth.report import VerificationReport, Violation
+from hilbertdepth.series import scale
 from hilbertdepth.verify import (
     BATTERY_NAMES,
+    _describe,
+    _degree_multisets,
     random_hilbert_function,
     run_battery,
     verify_ci_recursion,
@@ -138,3 +143,173 @@ def test_random_pool_is_reproducible():
     rng = random.Random(8)
     shapes = {random_hilbert_function(rng).denom_power for _ in range(60)}
     assert len(shapes) > 1  # both finite and infinite support appear
+
+
+# Reference batteries built entry by entry: one beta_table per d, one
+# closed-form beta per parity entry and one evaluate per value.  The
+# window-at-once batteries must report exactly what these report.
+
+
+def parity_reference(h, descriptor):
+    extended = extend(h)
+    k0 = h.k0
+    for d in range(k0, k0 + 11):
+        lhs = beta(extended, d, d)
+        rhs = sum(h.evaluate(m) for m in range(k0, d + 1) if (d - m) % 2 == 0)
+        if lhs != rhs:
+            return Violation(f"{descriptor} parity d={d}", str(rhs), str(lhs))
+    return None
+
+
+def extension_reference(trials, seed):
+    violations = []
+    rng = random.Random(seed)
+    for case in range(trials):
+        h = random_hilbert_function(rng)
+        descriptor = f"case {case}: h={_describe(h)}"
+        base = qdepth(h).qdepth
+        lifted = qdepth(extend(h)).qdepth
+        if lifted < base:
+            violations.append(
+                Violation(f"{descriptor} extension", f">= {base}", str(lifted))
+            )
+        parity = parity_reference(h, descriptor)
+        if parity is not None:
+            violations.append(parity)
+    return VerificationReport("extension", trials, violations)
+
+
+def structural_reference(trials, seed):
+    violations = []
+    rng = random.Random(seed)
+    for case in range(trials):
+        h = random_hilbert_function(rng)
+        other = random_hilbert_function(rng)
+        m = rng.randint(-3, 3)
+        r = rng.choice((2, 3, 7))
+        descriptor = f"case {case}: h={_describe(h)}"
+        result = qdepth(h)
+        d0 = result.qdepth
+        if not result.lower_bound <= d0 <= result.upper_bound:
+            violations.append(
+                Violation(
+                    f"{descriptor} window",
+                    f"[{result.lower_bound}, {result.upper_bound}]",
+                    str(d0),
+                )
+            )
+        if any(v < 0 for v in result.certificate.values):
+            violations.append(
+                Violation(f"{descriptor} certificate", ">= 0 entries", "negative entry")
+            )
+        if (result.refutation is None) != (d0 == result.upper_bound):
+            violations.append(
+                Violation(
+                    f"{descriptor} refutation presence",
+                    "absent iff depth = upper bound",
+                    repr(result.refutation),
+                )
+            )
+        if result.refutation is not None:
+            rd, rk, rb = result.refutation
+            if rb >= 0 or beta(h, rd, rk) != rb:
+                violations.append(
+                    Violation(f"{descriptor} refutation", "negative beta", str(rb))
+                )
+        if h.kf is not None and d0 > h.kf:
+            violations.append(
+                Violation(f"{descriptor} support cap", f"<= {h.kf}", str(d0))
+            )
+        shifted = qdepth(shift(h, m)).qdepth
+        if shifted != d0 - m:
+            violations.append(
+                Violation(f"{descriptor} shift m={m}", str(d0 - m), str(shifted))
+            )
+        scaled = qdepth(scale(h, r)).qdepth
+        if scaled != d0:
+            violations.append(
+                Violation(f"{descriptor} scale r={r}", str(d0), str(scaled))
+            )
+        d_other = qdepth(other).qdepth
+        d_sum = qdepth(h + other).qdepth
+        if d_sum < min(d0, d_other):
+            violations.append(
+                Violation(
+                    f"{descriptor} sum with {_describe(other)}",
+                    f">= {min(d0, d_other)}",
+                    str(d_sum),
+                )
+            )
+        lifted = qdepth(extend(h)).qdepth
+        if lifted < d0:
+            violations.append(
+                Violation(f"{descriptor} extension", f">= {d0}", str(lifted))
+            )
+        k0 = h.k0
+        for d in range(k0, k0 + 13):
+            table = beta_table(h, d)
+            bad = next(
+                (k for k in range(k0, d + 1) if reconstruct(table, k) != h.evaluate(k)),
+                None,
+            )
+            if bad is not None:
+                violations.append(
+                    Violation(
+                        f"{descriptor} inversion d={d} k={bad}",
+                        str(h.evaluate(bad)),
+                        str(reconstruct(table, bad)),
+                    )
+                )
+        parity = parity_reference(h, descriptor)
+        if parity is not None:
+            violations.append(parity)
+    return VerificationReport("structural", trials, violations)
+
+
+def ci_truncation_reference(max_n, max_degree):
+    violations = []
+    cases = 0
+    for n in range(1, max_n + 1):
+        for r in range(n):
+            for degrees in _degree_multisets(r, max_degree):
+                cases += 1
+                plain = complete_intersection(n, degrees)
+                padded = complete_intersection(n, list(degrees) + [n + 1] * (n - r))
+                descriptor = f"n={n} degrees={list(degrees)}"
+                for j in range(n + 1):
+                    if plain.evaluate(j) != padded.evaluate(j):
+                        violations.append(
+                            Violation(
+                                f"{descriptor} value j={j}",
+                                str(plain.evaluate(j)),
+                                str(padded.evaluate(j)),
+                            )
+                        )
+                if beta_table(plain, n) != beta_table(padded, n):
+                    violations.append(
+                        Violation(f"{descriptor} beta row", "equal tables", "differ")
+                    )
+    return VerificationReport("ci-truncation", cases, violations)
+
+
+def _same_report(report, reference):
+    return report.to_json_dict() == reference.to_json_dict()
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["clean", "flipped"])
+def test_window_batteries_match_per_entry_reference(monkeypatch, flip):
+    if flip:
+        monkeypatch.setenv(FLIP_BETA_ENV, "1")
+    else:
+        monkeypatch.delenv(FLIP_BETA_ENV, raising=False)
+    for seed in (271828, 5):
+        structural = verify_structural_laws(60, seed)
+        assert _same_report(structural, structural_reference(60, seed))
+        extension = verify_extension(60, seed)
+        assert _same_report(extension, extension_reference(60, seed))
+        assert bool(structural.violations) == flip
+        assert bool(extension.violations) == flip
+    # the hook negates both tables alike, so truncation stays clean
+    truncation = verify_ci_truncation(4, 4)
+    assert _same_report(truncation, ci_truncation_reference(4, 4))
+    assert truncation.passed
