@@ -15,7 +15,6 @@ from .depth import (
     beta,
     beta_table,
     bounds,
-    feasible_depths,
     qdepth,
     reconstruct,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "elaborate",
     "extend",
     "factorial",
-    "feasible_depths",
     "free_module",
     "from_table",
     "gauss_2f1",

@@ -7,9 +7,14 @@ For a candidate depth d the transform
 inverts to h (see ``reconstruct``), and d is feasible when every entry with
 k0 <= k <= d is nonnegative.  The Hilbert depth is the largest feasible d;
 it always lies in the window [k0, k0 + floor(h1/h0)] where h0, h1 are the
-first two values of h, so the search scans that window exhaustively and
-keeps the maximum.  No monotonicity of the feasible set is assumed;
-``feasible_depths`` exposes the full set for inspection.
+first two values of h.  Row d is the prefix sums of row d + 1,
+
+    beta(d, k) = sum_{j = k0..k} beta(d + 1, j)     (k0 <= k <= d),
+
+so a nonnegative row d + 1 makes row d nonnegative too, for any integer h:
+the feasible depths are the interval [k0, qdepth].  The scan therefore
+stops at the first row with a negative entry, which is row qdepth + 1 and
+holds the refutation.
 
 Every scan walks the rows with one kernel, ``_rows``.  Pascal's rule on
 C(d - j, k - j) gives
@@ -18,15 +23,17 @@ C(d - j, k - j) gives
     beta(d + 1, k0)    = h(k0)
     beta(d + 1, d + 1) = h(d + 1) - beta(d, d)
 
-so the rows of a window of width W cost O(W^2) big-integer subtractions and
-no binomial coefficients.  The scans stream the rows and keep at most three
-of them (the current one, the certificate and the row after it).  The
-closed form survives only in the single-entry ``beta``, which is the oracle
-the tests hold the kernel to, and in ``reconstruct``.
+so a scan costs O(q^2) big-integer subtractions, with q = qdepth - k0 + 2,
+and no binomial coefficients.  The scans stream the rows and keep two of
+them (the current one and the certificate).  The closed form survives only
+in the single-entry ``beta``, which is the oracle the tests hold the kernel
+to, and in ``reconstruct``.
 
 The fault hook ``HILBERTDEPTH_FLIP_BETA`` is read once per scan.  It
 negates the reported diagonal entry k == d > k0 of each row; the kernel
-hands out a flipped copy and keeps recurring on the clean row.
+hands out a flipped copy and keeps recurring on the clean row.  Flipped
+rows are not prefix sums of each other, and the scan stops at the first
+one with a negative entry.
 """
 
 from __future__ import annotations
@@ -125,31 +132,25 @@ def _rows(
 
 
 def scan(
-    evals: list[int], start: int, last: int, low: int, high: int, flip: bool = False
+    evals: list[int], start: int, low: int, high: int, flip: bool = False
 ) -> QDepthResult:
-    """Exhaustive depth scan over the rows d = start..last of the values
-    evals[j - start] = h(j), reported with the window [low, high].
+    """Depth scan over the values evals[j - start] = h(j), reported with the
+    window [low, high].
 
-    The depth is the largest d whose row is nonnegative (the row at start
-    is taken when none is).  When it is below high, the refutation is the
-    first negative entry of the next row; that row may lie past ``last``,
-    in which case evals must reach it and the refutation is None if the
-    row has no negative entry.
+    The rows d = start..min(high, start + len(evals) - 1) are walked up to
+    the first one with a negative entry; that row gives the refutation (d,
+    first negative k, beta) and the row before it the depth and certificate.
+    The row at start must be nonnegative.  With no negative row the last
+    row walked is the depth and the refutation is None.
     """
-    top = last + 1 if high > last else last
-    rows = _rows(evals, start, top, flip)
-    best, certificate = next(rows)
-    following = None
-    for d, row in rows:
-        if d <= last and min(row) >= 0:
-            best, certificate, following = d, row, None
-        elif d == best + 1:
-            following = row
+    top = min(high, start + len(evals) - 1)
     refutation = None
-    if best < high:
-        k = next((i for i, b in enumerate(following) if b < 0), None)
-        if k is not None:
-            refutation = (best + 1, start + k, following[k])
+    for d, row in _rows(evals, start, top, flip):
+        if min(row) < 0:
+            k = next(i for i, b in enumerate(row) if b < 0)
+            refutation = (d, start + k, row[k])
+            break
+        best, certificate = d, row
     return QDepthResult(
         best, BetaTable(best, start, tuple(certificate)), low, high, refutation
     )
@@ -195,22 +196,14 @@ def bounds(h: HilbertFunction) -> tuple[int, int]:
     return k0, k0 + h1 // h0
 
 
-def feasible_depths(h: HilbertFunction) -> list[int]:
-    """Every d in the search window whose full beta row is nonnegative.
-
-    Diagnostic view of the feasible set; ``qdepth`` returns its maximum.
-    """
-    low, high = bounds(h)
-    evals = h.values(low, high)
-    return [d for d, row in _rows(evals, low, high, _flip_active()) if min(row) >= 0]
-
-
 def qdepth(h: HilbertFunction) -> QDepthResult:
     """Largest d whose beta row is nonnegative, with certificate.
 
-    Every candidate in the window is tested; d = k0 is always feasible
-    because beta(k0, k0) = h(k0) > 0, so the maximum exists.
+    The window is read once, so a negative value anywhere in it raises
+    ``NegativeValueError``; the rows are scanned from k0 up to the first
+    negative one.  d = k0 is always feasible because
+    beta(k0, k0) = h(k0) > 0.
     """
     low, high = bounds(h)
     evals = h.values(low, high)
-    return scan(evals, low, high, low, high, _flip_active())
+    return scan(evals, low, low, high, _flip_active())

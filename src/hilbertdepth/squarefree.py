@@ -14,14 +14,15 @@ monomials, an ideal is the OR of its generators' multiples, the quotient is
 ``upper & ~lower``, and each degree count is a popcount against a fixed
 layer of the masks of that degree (see ``alpha_vector``).
 
-The depth computed directly from alpha (scanning d in [0, n]) agrees with
-the depth of that function; ``check_qdepth_match`` exercises the
-equivalence.  The alpha route has no transform of its own: it runs the
-Pascal-rule row kernel of ``depth`` from k = 0 over the alpha vector padded
-with one zero (row n + 1, which only a refutation reads, is built when the
-window reaches past n), at a cost of O(n^2) big-integer subtractions.  It
-never applies the fault hook, so under ``HILBERTDEPTH_FLIP_BETA`` the two
-routes disagree.
+The depth computed directly from alpha agrees with the depth of that
+function; ``check_qdepth_match`` exercises the equivalence.  The alpha
+route has no transform of its own: it runs the early-exit scan of ``depth``
+from k = 0 over the alpha vector padded with one zero, at a cost of at most
+O(n^2) big-integer subtractions.  Row n + 1 of the padded vector always has
+a negative entry (its entries sum to h(n + 1) = 0, and were they all zero
+the inversion would give h = 0), so the scan stops by then.  It never
+applies the fault hook, so under ``HILBERTDEPTH_FLIP_BETA`` the two routes
+disagree.
 """
 
 from __future__ import annotations
@@ -193,19 +194,19 @@ def m_module(q: SquarefreeQuotient, max_vars: int | None = None) -> HilbertFunct
 
 
 def qdepth_from_alpha(alpha: list[int]) -> QDepthResult:
-    """Depth of a degree-count vector, scanning d in [0, n].
+    """Depth of a degree-count vector, scanning rows d = 0, 1, ... up to the
+    first one with a negative entry (at the latest row n + 1).
 
     The rows start at k = 0, so certificate tables may carry leading zeros;
     the reported window is the Hilbert-function one [k0, k0 + h1 // h0].
     alpha counts as 0 past n, which the refutation row at n + 1 can reach.
     An empty or all-zero vector raises EmptyFunctionError.
     """
-    n = len(alpha) - 1
     k0 = next((k for k, a in enumerate(alpha) if a), None)
     if k0 is None:
         raise EmptyFunctionError("alpha vector has no nonzero entry")
-    h1 = alpha[k0 + 1] if k0 + 1 <= n else 0
-    return scan([*alpha, 0], 0, n, k0, k0 + h1 // alpha[k0])
+    h1 = alpha[k0 + 1] if k0 + 1 < len(alpha) else 0
+    return scan([*alpha, 0], 0, k0, k0 + h1 // alpha[k0])
 
 
 def qdepth_quotient(q: SquarefreeQuotient, max_vars: int | None = None) -> QDepthResult:
@@ -234,6 +235,8 @@ def random_quotient(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    # Checked before any 1 << n is built; a huge n would exhaust memory.
+    _resolve_cap(n, HARD_VARIABLE_CAP)
     rng = random.Random(seed)
     attempts = 0 if n == 1 and gen_count_lower > 0 else 200
     for _ in range(attempts):

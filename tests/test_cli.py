@@ -11,7 +11,7 @@ REPO = Path(__file__).resolve().parents[1]
 FLIP_ENV = "HILBERTDEPTH_FLIP_BETA"
 
 
-def run_python(*argv, flip=False):
+def run_python(*argv, flip=False, timeout=None):
     env = os.environ.copy()
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     env.pop(FLIP_ENV, None)
@@ -23,11 +23,12 @@ def run_python(*argv, flip=False):
         text=True,
         env=env,
         cwd=REPO,
+        timeout=timeout,
     )
 
 
-def run_cli(*argv, flip=False):
-    return run_python("-m", "hilbertdepth", *argv, flip=flip)
+def run_cli(*argv, flip=False, timeout=None):
+    return run_python("-m", "hilbertdepth", *argv, flip=flip, timeout=timeout)
 
 
 def test_qdepth_poly():
@@ -140,6 +141,24 @@ def test_sqf_huge_variable_count_exit_2():
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert "cap" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_verify_quotients_huge_max_n_exit_2():
+    proc = run_cli(
+        "verify", "quotients", "--max-n", "1000000000000", "--trials", "3", timeout=20
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "cap" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_qdepth_stops_at_first_negative_row():
+    # a 3e6-wide window whose depth is 1: only rows 0..2 are built
+    proc = run_cli("qdepth", "table(0:1,1:3000000)", timeout=20)
+    assert proc.returncode == 0
+    assert "qdepth:  1" in proc.stdout
+    assert "refutation: beta at d=2, k=2 is -2999999" in proc.stdout
 
 
 def test_hyp_output():

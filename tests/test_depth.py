@@ -2,6 +2,7 @@
 
 import random
 from contextlib import contextmanager
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -14,7 +15,6 @@ from hilbertdepth import (
     bounds,
     complete_intersection,
     extend,
-    feasible_depths,
     free_module,
     from_table,
     polynomial_ring,
@@ -148,11 +148,16 @@ def test_certificate_and_refutation_contract():
 
 
 def test_feasible_set_is_an_interval():
-    # diagnostic for the monotonicity direction: on every sample the set of
-    # feasible depths in the window is downward closed from the maximum
+    # on every sample the depths in the window with a nonnegative
+    # closed-form row run from k0 up to the depth the early-exit scan finds
     for h in sample_functions():
-        feasible = feasible_depths(h)
-        assert feasible == list(range(h.k0, max(feasible) + 1))
+        low, high = bounds(h)
+        feasible = [
+            d
+            for d in range(low, high + 1)
+            if min(beta(h, d, k) for k in range(low, d + 1)) >= 0
+        ]
+        assert feasible == list(range(h.k0, qdepth(h).qdepth + 1))
 
 
 def test_shift_scale_equivariance():
@@ -190,6 +195,10 @@ def test_flip_hook_negates_diagonal(monkeypatch):
     monkeypatch.setenv(FLIP_BETA_ENV, "1")
     assert beta(h, 3, 3) == -clean
     assert qdepth(h).qdepth == 0
+    # flipped rows are not prefix sums of each other: the scan stops at the
+    # first flipped row even though the flipped row 2 is nonnegative
+    result = qdepth(from_table({0: 1, 1: 2, 2: 1}))
+    assert (result.qdepth, result.refutation) == (0, (1, 1, -1))
     monkeypatch.delenv(FLIP_BETA_ENV)
     assert beta(h, 3, 3) == clean
 
@@ -238,20 +247,31 @@ def _flip_env(flip):
 
 def reference_scan(h):
     """Exhaustive scan of the window written against the closed-form beta:
-    (feasible depths, depth, certificate values, refutation)."""
+    (feasible depths, depth, certificate values, refutation).  The depth is
+    the row before the first row with a negative entry."""
     low, high = bounds(h)
+    rows = {d: [beta(h, d, k) for k in range(low, d + 1)] for d in range(low, high + 1)}
+    feasible = [d for d, row in rows.items() if min(row) >= 0]
+    first_negative = next((d for d, row in rows.items() if min(row) < 0), None)
+    if first_negative is None:
+        return feasible, high, tuple(rows[high]), None
+    following = rows[first_negative]
+    k = next(i for i, b in enumerate(following) if b < 0)
+    refutation = (first_negative, low + k, following[k])
+    return feasible, first_negative - 1, tuple(rows[first_negative - 1]), refutation
 
-    def row(d):
-        return [beta(h, d, k) for k in range(low, d + 1)]
 
-    feasible = [d for d in range(low, high + 1) if min(row(d)) >= 0]
-    best = max(feasible)
-    refutation = None
-    if best < high:
-        following = row(best + 1)
-        k = next(i for i, b in enumerate(following) if b < 0)
-        refutation = (best + 1, low + k, following[k])
-    return feasible, best, tuple(row(best)), refutation
+@settings(max_examples=60, deadline=None)
+@given(h=functions)
+def test_rows_are_prefix_sums_of_the_next(h):
+    # the law the early exit rests on: a nonnegative row d + 1 makes row d
+    # nonnegative, so the feasible depths form an interval
+    low, high = bounds(h)
+    with _flip_env(False):
+        for d in range(low, high + 1):
+            row = [beta(h, d, k) for k in range(low, d + 1)]
+            following = [beta(h, d + 1, k) for k in range(low, d + 2)]
+            assert row == list(accumulate(following))[:-1]
 
 
 @pytest.mark.parametrize("flip", [False, True])
@@ -277,7 +297,8 @@ def test_scans_match_reference_scan(flip, h):
     with _flip_env(flip):
         feasible, best, values, refutation = reference_scan(h)
         result = qdepth(h)
-        assert feasible_depths(h) == feasible
+        if not flip:
+            assert feasible == list(range(low, best + 1))
         assert result.qdepth == best
         assert result.certificate.values == values
         assert result.certificate.start_k == h.k0
@@ -303,13 +324,15 @@ def test_alpha_route_matches_closed_form(alpha):
     def row(d):
         return [alpha_beta_oracle(alpha, d, k) for k in range(d + 1)]
 
+    # the padded row n + 1 always has a negative entry, so the alpha route
+    # needs no bound on its rows beyond the window
+    assert min(row(n + 1)) < 0
     best = max(d for d in range(n + 1) if min(row(d)) >= 0)
     refutation = None
     if best < high:
         following = row(best + 1)
-        k = next((i for i, b in enumerate(following) if b < 0), None)
-        if k is not None:
-            refutation = (best + 1, k, following[k])
+        k = next(i for i, b in enumerate(following) if b < 0)
+        refutation = (best + 1, k, following[k])
     result = qdepth_from_alpha(alpha)
     assert result.qdepth == best
     assert result.certificate.values == tuple(row(best))
