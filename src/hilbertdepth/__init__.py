@@ -39,7 +39,6 @@ from .report import VerificationReport, Violation
 from .series import (
     HilbertFunction,
     LaurentPolynomial,
-    add,
     complete_intersection,
     extend,
     free_module,
@@ -86,7 +85,6 @@ __all__ = [
     "TooManyVariablesError",
     "VerificationReport",
     "Violation",
-    "add",
     "alpha_vector",
     "beta",
     "beta_table",

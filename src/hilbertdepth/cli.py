@@ -27,7 +27,7 @@ from .squarefree import (
     parse_ideal,
     qdepth_from_alpha,
 )
-from .verify import BATTERIES, BATTERY_ALIASES, BATTERY_NAMES, DEFAULT_SEED, run_battery
+from .verify import BATTERIES, BATTERY_ALIASES, DEFAULT_SEED, run_battery
 
 
 def _read_arg(value: str) -> str:
@@ -153,7 +153,7 @@ def cmd_hyp(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.all:
-        names = list(BATTERY_NAMES)
+        names = list(BATTERIES)
     else:
         names = [BATTERY_ALIASES.get(b, b) for b in args.batteries]
     if not names:
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "batteries",
         nargs="*",
-        help="battery names: " + ", ".join(BATTERY_NAMES)
+        help="battery names: " + ", ".join(BATTERIES)
         + " (aliases: " + ", ".join(f"{a}={b}" for a, b in BATTERY_ALIASES.items()) + ")",
     )
     p_verify.add_argument("--all", action="store_true", help="run every battery")
@@ -243,11 +243,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The parsers reject literals over MAX_LITERAL_DIGITS digits, so the
+    # interpreter's cap on int <-> str conversion (CPython 3.10.7 and later)
+    # is lifted while the command runs: exact results print at any size.
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (HilbertDepthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -29,11 +29,12 @@ them (the current one and the certificate).  The closed form survives only
 in the single-entry ``beta``, which is the oracle the tests hold the kernel
 to, and in ``reconstruct``.
 
-The fault hook ``HILBERTDEPTH_FLIP_BETA`` is read once per scan.  It
-negates the reported diagonal entry k == d > k0 of each row; the kernel
-hands out a flipped copy and keeps recurring on the clean row.  Flipped
-rows are not prefix sums of each other, and the scan stops at the first
-one with a negative entry.
+The fault hook ``HILBERTDEPTH_FLIP_BETA`` is read only in this module,
+once per ``qdepth``, ``beta`` or ``beta_rows`` call.  It negates the
+reported diagonal entry k == d > k0 of each row; the kernel hands out a
+flipped copy and keeps recurring on the clean row.  Flipped rows are not
+prefix sums of each other, and the scan stops at the first one with a
+negative entry.
 """
 
 from __future__ import annotations
@@ -131,6 +132,13 @@ def _rows(
         yield start + i, [*row[:-1], -row[-1]] if flip else row
 
 
+def beta_rows(
+    evals: list[int], start: int, top: int
+) -> Iterator[tuple[int, list[int]]]:
+    """``_rows`` with the fault hook read once, when called."""
+    return _rows(evals, start, top, _flip_active())
+
+
 def scan(
     evals: list[int], start: int, low: int, high: int, flip: bool = False
 ) -> QDepthResult:
@@ -171,7 +179,7 @@ def beta_table(h: HilbertFunction, d: int) -> BetaTable:
     if d < k0:
         raise OutOfRangeError(f"d={d} is below k0={k0}")
     evals = h.values(k0, d)
-    for _, row in _rows(evals, k0, d, _flip_active()):
+    for _, row in beta_rows(evals, k0, d):
         pass
     return BetaTable(d, k0, tuple(row))
 

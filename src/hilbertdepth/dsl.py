@@ -19,7 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ElaborationError, HilbertDepthError, ParseError
+from .errors import (
+    MAX_LITERAL_DIGITS,
+    ElaborationError,
+    HilbertDepthError,
+    ParseError,
+)
 from .series import (
     HilbertFunction,
     complete_intersection,
@@ -62,13 +67,17 @@ def _tokenize(text: str) -> list[Token]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or ch.isdecimal():
             start = i
             i += 1
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
             if text[start:i] == "-":
                 raise ParseError("lone '-'", start, ("integer",))
+            if len(text[start:i].lstrip("-")) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal over {MAX_LITERAL_DIGITS} digits", start, ()
+                )
             tokens.append(("int", int(text[start:i]), start))
             continue
         if ch.isalpha():

@@ -47,6 +47,12 @@ class InvalidQuotientError(HilbertDepthError):
     """The two ideals of a quotient are not properly nested."""
 
 
+# Longest integer literal the parsers accept: CPython's default cap on
+# str -> int conversion, so a literal it rejects is a ParseError, not a
+# ValueError, and the CLI can lift the cap to print exact results.
+MAX_LITERAL_DIGITS = 4300
+
+
 class ParseError(HilbertDepthError):
     """Syntax error in a function expression or ideal description."""
 

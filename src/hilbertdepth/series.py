@@ -58,10 +58,6 @@ class LaurentPolynomial:
         self._coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
 
     @classmethod
-    def zero(cls) -> LaurentPolynomial:
-        return cls()
-
-    @classmethod
     def one(cls) -> LaurentPolynomial:
         return cls({0: 1})
 
@@ -337,11 +333,6 @@ def complete_intersection(n: int, degrees: Iterable[int]) -> HilbertFunction:
             coeffs = [*pre[:d], *map(sub, pre[d:], pre)]
     num = LaurentPolynomial(dict(enumerate(coeffs)))
     return HilbertFunction(num, n - len(degree_list))
-
-
-def add(h1: HilbertFunction, h2: HilbertFunction) -> HilbertFunction:
-    """Pointwise sum."""
-    return h1 + h2
 
 
 def scale(h: HilbertFunction, r: int) -> HilbertFunction:

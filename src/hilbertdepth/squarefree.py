@@ -34,6 +34,7 @@ from typing import Iterable
 
 from .depth import QDepthResult, qdepth, scan
 from .errors import (
+    MAX_LITERAL_DIGITS,
     EmptyFunctionError,
     GenerationFailedError,
     InvalidQuotientError,
@@ -83,10 +84,6 @@ class SquarefreeIdeal:
     @property
     def is_zero(self) -> bool:
         return not self.generators
-
-    @property
-    def is_unit(self) -> bool:
-        return self.generators == frozenset({0})
 
     def contains(self, mask: int) -> bool:
         """Monomial membership: some generator divides the mask."""
@@ -285,6 +282,10 @@ def parse_ideal(text: str, n: int) -> SquarefreeIdeal:
             match = _VARIABLE_RE.fullmatch(name)
             if not match:
                 raise ParseError(f"bad variable {name!r}", var_pos, ("x<index>",))
+            if len(match.group(1)) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"variable index over {MAX_LITERAL_DIGITS} digits", var_pos, ()
+                )
             index = int(match.group(1))
             if not 1 <= index <= n:
                 raise ParseError(

@@ -1,8 +1,12 @@
 """Desk-scale verification batteries for the depth laws.
 
 Every battery is deterministic given its parameters (random ones take an
-explicit seed), counts its cases, and reports violations with descriptors
-detailed enough to replay the case by hand.
+explicit seed) and returns its case count and its violations, with
+descriptors detailed enough to replay the case by hand.  ``BATTERIES`` is
+the one table of batteries: it holds each one's name, parameters and
+default ranges, and ``run_battery`` builds the report from it, with the
+table key as the report's name and the time of the call as its elapsed
+time.
 """
 
 from __future__ import annotations
@@ -12,15 +16,7 @@ import json
 import random
 import time
 
-from .depth import (
-    BetaTable,
-    _flip_active,
-    _rows,
-    beta,
-    beta_table,
-    qdepth,
-    reconstruct,
-)
+from .depth import BetaTable, beta, beta_rows, beta_table, qdepth, reconstruct
 from .errors import GenerationFailedError
 from .hypergeometric import (
     check_beta_identity,
@@ -84,23 +80,21 @@ def _degree_multisets(r: int, dmax: int):
     return itertools.combinations_with_replacement(range(2, dmax + 1), r)
 
 
-def verify_polynomial_rings(max_n: int) -> VerificationReport:
+def verify_polynomial_rings(max_n: int) -> tuple[int, list[Violation]]:
     """Depth of the n-variable ring is n, for every n up to max_n."""
-    start = time.perf_counter()
     violations = []
     for n in range(1, max_n + 1):
         result = qdepth(polynomial_ring(n))
         if result.qdepth != n:
             violations.append(Violation(f"poly({n})", str(n), str(result.qdepth)))
-    return VerificationReport(
-        "polyring", max_n, violations, time.perf_counter() - start
-    )
+    return max_n, violations
 
 
-def verify_complete_intersections(max_n: int, max_degree: int) -> VerificationReport:
+def verify_complete_intersections(
+    max_n: int, max_degree: int
+) -> tuple[int, list[Violation]]:
     """Depth n for every complete intersection with 0 <= r <= n forms of
     degrees in [2, max_degree], enumerated as multisets."""
-    start = time.perf_counter()
     violations = []
     cases = 0
     for n in range(1, max_n + 1):
@@ -114,12 +108,12 @@ def verify_complete_intersections(max_n: int, max_degree: int) -> VerificationRe
                             f"n={n} degrees={list(degrees)}", str(n), str(result.qdepth)
                         )
                     )
-    return VerificationReport("ci", cases, violations, time.perf_counter() - start)
+    return cases, violations
 
 
 def verify_ci_recursion(
     trials: int, seed: int, max_n: int = 6, max_degree: int = 6
-) -> VerificationReport:
+) -> tuple[int, list[Violation]]:
     """Peeling one degree off a complete intersection.
 
     With degrees (d_1..d_n), d_n >= 3: the function equals the one with d_n
@@ -127,7 +121,6 @@ def verify_ci_recursion(
     by d_n - 1, both as canonical forms and entrywise on the beta row at n,
     where the shifted summand only enters for k >= d_n - 1.
     """
-    start = time.perf_counter()
     violations = []
     rng = random.Random(seed)
     max_n = max(max_n, 2)
@@ -156,15 +149,12 @@ def verify_ci_recursion(
                 violations.append(
                     Violation(f"{descriptor} beta k={k}", str(rhs), str(lhs))
                 )
-    return VerificationReport(
-        "ci-recursion", trials, violations, time.perf_counter() - start
-    )
+    return trials, violations
 
 
-def verify_ci_truncation(max_n: int, max_degree: int) -> VerificationReport:
+def verify_ci_truncation(max_n: int, max_degree: int) -> tuple[int, list[Violation]]:
     """Padding a complete intersection with forms of degree n + 1 leaves the
     values on [0, n], and hence the beta row at n, unchanged."""
-    start = time.perf_counter()
     violations = []
     cases = 0
     for n in range(1, max_n + 1):
@@ -186,16 +176,15 @@ def verify_ci_truncation(max_n: int, max_degree: int) -> VerificationReport:
                     violations.append(
                         Violation(f"{descriptor} beta row", "equal tables", "differ")
                     )
-    return VerificationReport(
-        "ci-truncation", cases, violations, time.perf_counter() - start
-    )
+    return cases, violations
 
 
-def verify_free_modules(trials: int, seed: int, max_n: int = 6) -> VerificationReport:
+def verify_free_modules(
+    trials: int, seed: int, max_n: int = 6
+) -> tuple[int, list[Violation]]:
     """Graded free modules S(a)^n1 + S(a-1)^n2 + sum_j S(a_j) with n1 > n2
     and a >= a_j + 2 have depth n - a.  n is drawn from [1, max_n], so an
     empty range gives no cases."""
-    start = time.perf_counter()
     violations = []
     rng = random.Random(seed)
     trials = trials if max_n >= 1 else 0
@@ -215,14 +204,10 @@ def verify_free_modules(trials: int, seed: int, max_n: int = 6) -> VerificationR
                     str(result.qdepth),
                 )
             )
-    return VerificationReport(
-        "free", trials, violations, time.perf_counter() - start
-    )
+    return trials, violations
 
 
-def _parity_violation(
-    h: HilbertFunction, descriptor: str, flip: bool
-) -> Violation | None:
+def _parity_violation(h: HilbertFunction, descriptor: str) -> Violation | None:
     """Top entry of the extended function's beta row at d equals the sum of
     h over degrees of the same parity as d.  The left side is the diagonal
     of one kernel pass over the extended function's values, the right side
@@ -230,17 +215,16 @@ def _parity_violation(
     k0 = h.k0
     evals = h.values(k0, k0 + 10)
     extended = extend(h).values(k0, k0 + 10)
-    for d, row in _rows(extended, k0, k0 + 10, flip):
+    for d, row in beta_rows(extended, k0, k0 + 10):
         rhs = sum(evals[d - k0::-2])
         if row[-1] != rhs:
             return Violation(f"{descriptor} parity d={d}", str(rhs), str(row[-1]))
     return None
 
 
-def verify_extension(trials: int, seed: int) -> VerificationReport:
+def verify_extension(trials: int, seed: int) -> tuple[int, list[Violation]]:
     """Adjoining a variable never lowers the depth, and the parity identity
     holds for the extended beta diagonal."""
-    start = time.perf_counter()
     violations = []
     rng = random.Random(seed)
     for case in range(trials):
@@ -252,15 +236,13 @@ def verify_extension(trials: int, seed: int) -> VerificationReport:
             violations.append(
                 Violation(f"{descriptor} extension", f">= {base}", str(lifted))
             )
-        parity = _parity_violation(h, descriptor, _flip_active())
+        parity = _parity_violation(h, descriptor)
         if parity is not None:
             violations.append(parity)
-    return VerificationReport(
-        "extension", trials, violations, time.perf_counter() - start
-    )
+    return trials, violations
 
 
-def verify_structural_laws(trials: int, seed: int) -> VerificationReport:
+def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]]:
     """Shift equivariance, scale invariance, superadditivity over sums,
     extension monotonicity, window containment, finite-support cap, exact
     inversion, and the parity identity, on seeded random functions.
@@ -269,7 +251,6 @@ def verify_structural_laws(trials: int, seed: int) -> VerificationReport:
     pass over it: every row d = k0..k0 + 12 must give back those values
     through ``reconstruct``'s closed form.  The parity check reads h and
     its extension over one window each (see ``_parity_violation``)."""
-    start = time.perf_counter()
     violations = []
     rng = random.Random(seed)
     for case in range(trials):
@@ -330,14 +311,14 @@ def verify_structural_laws(trials: int, seed: int) -> VerificationReport:
                     str(d_sum),
                 )
             )
-        if qdepth(extend(h)).qdepth < d0:
+        lifted = qdepth(extend(h)).qdepth
+        if lifted < d0:
             violations.append(
-                Violation(f"{descriptor} extension", f">= {d0}", str(qdepth(extend(h)).qdepth))
+                Violation(f"{descriptor} extension", f">= {d0}", str(lifted))
             )
-        flip = _flip_active()
         k0 = h.k0
         evals = h.values(k0, k0 + 12)
-        for d, row in _rows(evals, k0, k0 + 12, flip):
+        for d, row in beta_rows(evals, k0, k0 + 12):
             table = BetaTable(d, k0, tuple(row))
             bad = next(
                 (
@@ -355,19 +336,18 @@ def verify_structural_laws(trials: int, seed: int) -> VerificationReport:
                         str(reconstruct(table, bad)),
                     )
                 )
-        parity = _parity_violation(h, descriptor, flip)
+        parity = _parity_violation(h, descriptor)
         if parity is not None:
             violations.append(parity)
-    return VerificationReport(
-        "structural", trials, violations, time.perf_counter() - start
-    )
+    return trials, violations
 
 
-def verify_quotients(trials: int, seed: int, max_n: int = 10) -> VerificationReport:
+def verify_quotients(
+    trials: int, seed: int, max_n: int = 10
+) -> tuple[int, list[Violation]]:
     """Depth from the alpha vector equals depth of its Hilbert function on
     seeded random squarefree quotients in n in [1, max_n] variables (none
     when that range is empty)."""
-    start = time.perf_counter()
     violations = []
     rng = random.Random(seed)
     produced = 0
@@ -392,13 +372,11 @@ def verify_quotients(trials: int, seed: int, max_n: int = 10) -> VerificationRep
                     "mismatch",
                 )
             )
-    return VerificationReport(
-        "quotients", produced, violations, time.perf_counter() - start
-    )
+    return produced, violations
 
 
-# Each battery with its parameters, in positional order, and their default
-# ranges; the order is the ``verify --all`` order.
+# Each battery's name, its function with its parameters in positional order,
+# and their default ranges; the order is the ``verify --all`` order.
 BATTERIES = {
     "polyring": (verify_polynomial_rings, {"max_n": 16}),
     "ci": (verify_complete_intersections, {"max_n": 5, "max_degree": 4}),
@@ -416,8 +394,6 @@ BATTERIES = {
     "e-link": (check_derivative_link, {"max_n": 15}),
 }
 
-BATTERY_NAMES = tuple(BATTERIES)
-
 BATTERY_ALIASES = {"lemma": "signs", "qq": "quotients"}
 
 
@@ -429,12 +405,18 @@ def run_battery(
     seed: int | None = None,
 ) -> VerificationReport:
     """Run one named battery, falling back to its default ranges where a
-    parameter is None (an explicit 0 is an empty range, not the default)."""
+    parameter is None (an explicit 0 is an empty range, not the default).
+
+    The battery returns its case count and violations; the report takes its
+    name from the table key (an alias resolves to it) and its elapsed time
+    from around the call."""
+    key = BATTERY_ALIASES.get(name, name)
     try:
-        battery, defaults = BATTERIES[BATTERY_ALIASES.get(name, name)]
+        battery, defaults = BATTERIES[key]
     except KeyError:
         raise ValueError(f"unknown battery {name!r}") from None
     given = {"max_n": max_n, "max_degree": max_degree, "trials": trials, "seed": seed}
-    return battery(
-        *(default if given[p] is None else given[p] for p, default in defaults.items())
-    )
+    args = [given[p] if given[p] is not None else d for p, d in defaults.items()]
+    start = time.perf_counter()
+    cases, violations = battery(*args)
+    return VerificationReport(key, cases, violations, time.perf_counter() - start)

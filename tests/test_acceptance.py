@@ -21,19 +21,7 @@ from hilbertdepth import (
     qdepth,
 )
 from hilbertdepth.combinatorics import binomial
-from hilbertdepth.hypergeometric import (
-    check_beta_identity,
-    check_derivative_link,
-    check_sign_positivity,
-)
-from hilbertdepth.verify import (
-    DEFAULT_SEED,
-    verify_ci_recursion,
-    verify_complete_intersections,
-    verify_free_modules,
-    verify_quotients,
-    verify_structural_laws,
-)
+from hilbertdepth.verify import DEFAULT_SEED, run_battery
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -54,7 +42,7 @@ def test_criterion_01_polynomial_ring_depth():
 
 def test_criterion_02_complete_intersections():
     start = time.perf_counter()
-    report = verify_complete_intersections(6, 5)
+    report = run_battery("ci", max_n=6, max_degree=5)
     elapsed = time.perf_counter() - start
     assert report.passed, report.violations[:5]
     assert report.cases_run == 461  # all degree multisets over [2,5], r <= n <= 6
@@ -64,7 +52,7 @@ def test_criterion_02_complete_intersections():
 
 def test_criterion_03_sign_positivity():
     start = time.perf_counter()
-    report = check_sign_positivity(60)
+    report = run_battery("signs", max_n=60)
     elapsed = time.perf_counter() - start
     assert report.passed, report.violations[:5]
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
@@ -72,7 +60,7 @@ def test_criterion_03_sign_positivity():
 
 
 def test_criterion_04_beta_identity():
-    report = check_beta_identity(60)
+    report = run_battery("beta-identity", max_n=60)
     assert report.passed, report.violations[:5]
     # spot re-check with independent pieces
     for n, k in [(7, 3), (25, 25), (60, 31)]:
@@ -82,13 +70,13 @@ def test_criterion_04_beta_identity():
 
 
 def test_criterion_05_derivative_link():
-    report = check_derivative_link(30)
+    report = run_battery("e-link", max_n=30)
     assert report.passed, report.violations[:5]
     _announce(5, "integer sums match the c-table diagonal, row 1 matches series")
 
 
 def test_criterion_06_structural_laws():
-    report = verify_structural_laws(1000, DEFAULT_SEED)
+    report = run_battery("structural", trials=1000, seed=DEFAULT_SEED)
     assert report.cases_run == 1000
     assert report.passed, report.violations[:5]
     _announce(6, "shift/scale/sum/extension/window/cap/inversion/parity laws")
@@ -96,7 +84,7 @@ def test_criterion_06_structural_laws():
 
 def test_criterion_07_quotient_depth_match():
     start = time.perf_counter()
-    report = verify_quotients(500, DEFAULT_SEED, max_n=10)
+    report = run_battery("quotients", trials=500, seed=DEFAULT_SEED, max_n=10)
     elapsed = time.perf_counter() - start
     assert report.cases_run == 500
     assert report.passed, report.violations[:5]
@@ -105,14 +93,16 @@ def test_criterion_07_quotient_depth_match():
 
 
 def test_criterion_08_ci_recursion():
-    report = verify_ci_recursion(200, DEFAULT_SEED, max_n=6, max_degree=6)
+    report = run_battery(
+        "ci-recursion", trials=200, seed=DEFAULT_SEED, max_n=6, max_degree=6
+    )
     assert report.cases_run == 200
     assert report.passed, report.violations[:5]
     _announce(8, "series split and beta decomposition on 200 seeded cases")
 
 
 def test_criterion_09_free_modules():
-    report = verify_free_modules(200, DEFAULT_SEED, max_n=6)
+    report = run_battery("free", trials=200, seed=DEFAULT_SEED, max_n=6)
     assert report.cases_run == 200
     assert report.passed, report.violations[:5]
     _announce(9, "free module depth equals n - a on 200 seeded instances")

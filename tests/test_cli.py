@@ -1,5 +1,6 @@
 """End-to-end command-line contract: outputs, exit codes, JSON stability."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -272,6 +273,74 @@ def test_flip_hook_fails_verify():
     assert proc.returncode == 1
     assert "violation" in proc.stdout
     assert "poly(2)" in proc.stdout  # replayable descriptor
+
+
+# SHA-256 of `verify --all --json` stdout at the default seed: the report
+# layout and every battery's cases and violations, clean and under the hook.
+VERIFY_ALL_DIGESTS = {
+    False: (0, "3bf49dd2d151fc44da07d36c131d4b44a46a0988934652a262f5fa8b7a26a6cc"),
+    True: (1, "857cab853aa92e93588b4e04a2f8d381e752dd2dccbcf72f910e12445d66088d"),
+}
+
+
+def test_verify_all_json_matches_pinned_digests():
+    for flip, (code, digest) in VERIFY_ALL_DIGESTS.items():
+        proc = run_cli("verify", "--all", "--json", flip=flip)
+        assert proc.returncode == code, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def assert_one_line_exit_2(proc, fragment):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert fragment in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_overlong_function_literal_exit_2():
+    proc = run_cli("qdepth", "table(0:" + "1" * 5000 + ")")
+    assert_one_line_exit_2(proc, "over 4300 digits at position 8")
+    # the longest literal Python reads by default is still accepted
+    proc = run_cli("qdepth", "table(0:" + "1" * 4300 + ")")
+    assert proc.returncode == 0 and "qdepth:  0" in proc.stdout
+
+
+def test_overlong_variable_index_exit_2():
+    assert_one_line_exit_2(
+        run_cli("sqf", "3", "x" + "1" * 5000), "over 4300 digits at position 0"
+    )
+
+
+def test_exact_values_print_past_the_digit_cap():
+    # poly(2) has the beta row [1, 0, 2] at d = 2; scaled twice by c = 4000
+    # nines, its entries c^2 and 2 c^2 have 8000 and 8001 digits
+    nines = "9" * 4000
+    c2 = "9" * 3999 + "8" + "0" * 3999 + "1"
+    twice = "1" + "9" * 3999 + "6" + "0" * 3999 + "2"
+    spec = f"scale(scale(poly(2), {nines}), {nines})"
+    proc = run_cli("qdepth", spec)
+    assert proc.returncode == 0, proc.stderr
+    assert f"[{c2}, 0, {twice}]" in proc.stdout
+    proc = run_cli("qdepth", spec, "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["certificate"]["values"] == [c2, "0", twice]
+
+
+def test_non_ascii_digit_exit_2():
+    # '²' is a digit to str.isdigit but not to int()
+    assert_one_line_exit_2(run_cli("qdepth", "poly(²)"), "unexpected character")
+
+
+def test_main_restores_the_digit_cap(monkeypatch, capsys):
+    from hilbertdepth.cli import main
+
+    before = sys.get_int_max_str_digits()
+    assert main(["qdepth", "poly(2)"]) == 0
+    assert sys.get_int_max_str_digits() == before
+    # interpreters before 3.10.7 have no cap to lift
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert main(["qdepth", "poly(2)"]) == 0
+    assert "qdepth:  2" in capsys.readouterr().out
 
 
 def test_sqf_max_vars_flag():

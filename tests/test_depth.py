@@ -25,7 +25,7 @@ from hilbertdepth import (
     shift,
 )
 from hilbertdepth.combinatorics import binomial
-from hilbertdepth.depth import FLIP_BETA_ENV, _rows
+from hilbertdepth.depth import FLIP_BETA_ENV, _rows, beta_rows
 
 
 def beta_oracle(h, d, k):
@@ -199,7 +199,11 @@ def test_flip_hook_negates_diagonal(monkeypatch):
     # first flipped row even though the flipped row 2 is nonnegative
     result = qdepth(from_table({0: 1, 1: 2, 2: 1}))
     assert (result.qdepth, result.refutation) == (0, (1, 1, -1))
+    evals = h.values(0, 3)
+    flipped = beta_rows(evals, 0, 3)  # the hook is read here, at the call
     monkeypatch.delenv(FLIP_BETA_ENV)
+    assert list(flipped) == list(_rows(evals, 0, 3, True))
+    assert list(beta_rows(evals, 0, 3)) == list(_rows(evals, 0, 3))
     assert beta(h, 3, 3) == clean
 
 

@@ -17,12 +17,8 @@ from hilbertdepth import (
     pochhammer,
 )
 from hilbertdepth.combinatorics import binomial, factorial
-from hilbertdepth.hypergeometric import (
-    check_beta_identity,
-    check_derivative_link,
-    check_sign_positivity,
-    geometric_square_series,
-)
+from hilbertdepth.hypergeometric import geometric_square_series
+from hilbertdepth.verify import run_battery
 
 
 def gauss_oracle(k, n):
@@ -153,21 +149,21 @@ def test_coeff_table_errors():
 
 
 def test_sign_battery():
-    assert check_sign_positivity(2).passed
-    report = check_sign_positivity(10)
+    assert run_battery("signs", max_n=2).passed
+    report = run_battery("signs", max_n=10)
     assert report.passed and report.cases_run > 40
     # no eligible sign pairs below n = 2
-    report = check_sign_positivity(1)
+    report = run_battery("signs", max_n=1)
     assert report.passed
 
 
 def test_beta_identity_battery():
-    report = check_beta_identity(20)
+    report = run_battery("beta-identity", max_n=20)
     assert report.passed
     assert report.cases_run == sum(n + 1 for n in range(1, 21))
 
 
 def test_derivative_link_battery():
-    report = check_derivative_link(15)
+    report = run_battery("e-link", max_n=15)
     assert report.passed
-    assert not check_derivative_link(2).violations
+    assert not run_battery("e-link", max_n=2).violations

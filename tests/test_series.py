@@ -21,7 +21,6 @@ from hilbertdepth import (
     LaurentPolynomial,
     NegativeValueError,
     TooManyFormsError,
-    add,
     complete_intersection,
     extend,
     free_module,
@@ -227,7 +226,7 @@ def test_scale():
     h = from_table({0: 2})
     assert scale(h, 1) == h
     assert scale(h, 3) == from_table({0: 6})
-    assert scale(polynomial_ring(2), 2) == add(polynomial_ring(2), polynomial_ring(2))
+    assert scale(polynomial_ring(2), 2) == polynomial_ring(2) + polynomial_ring(2)
     with pytest.raises(InvalidArityError):
         scale(h, 0)
 

@@ -16,24 +16,16 @@ from hilbertdepth.depth import FLIP_BETA_ENV, beta, beta_table, reconstruct
 from hilbertdepth.report import VerificationReport, Violation
 from hilbertdepth.series import scale
 from hilbertdepth.verify import (
-    BATTERY_NAMES,
+    BATTERIES,
     _describe,
     _degree_multisets,
     random_hilbert_function,
     run_battery,
-    verify_ci_recursion,
-    verify_ci_truncation,
-    verify_complete_intersections,
-    verify_extension,
-    verify_free_modules,
-    verify_polynomial_rings,
-    verify_quotients,
-    verify_structural_laws,
 )
 
 
 def test_every_battery_runs_green():
-    for name in BATTERY_NAMES:
+    for name in BATTERIES:
         report = run_battery(name, max_n=6, max_degree=4, trials=40, seed=7)
         assert report.passed, (name, report.violations[:3])
         assert report.cases_run > 0
@@ -46,12 +38,12 @@ def test_explicit_zero_is_not_the_default():
     for name in ("free", "quotients"):
         assert run_battery(name, max_n=0).cases_run == 0
         assert run_battery(name, trials=0).cases_run == 0
-    for name in BATTERY_NAMES:
+    for name in BATTERIES:
         assert run_battery(name, max_n=0, max_degree=0, trials=0).passed
 
 
 def test_registry_defaults_give_the_all_order_and_counts():
-    counts = [run_battery(name).cases_run for name in BATTERY_NAMES]
+    counts = [run_battery(name).cases_run for name in BATTERIES]
     assert counts == [16, 125, 100, 35, 100, 150, 250, 150, 325, 350, 238]
 
 
@@ -69,22 +61,22 @@ def test_unknown_battery_raises():
 
 
 def test_reports_are_deterministic():
-    a = verify_structural_laws(30, 99)
-    b = verify_structural_laws(30, 99)
+    a = run_battery("structural", trials=30, seed=99)
+    b = run_battery("structural", trials=30, seed=99)
     assert a.cases_run == b.cases_run
     assert a.violations == b.violations
-    qa = verify_quotients(25, 5)
-    qb = verify_quotients(25, 5)
+    qa = run_battery("quotients", trials=25, seed=5)
+    qb = run_battery("quotients", trials=25, seed=5)
     assert qa.cases_run == qb.cases_run and qa.violations == qb.violations
 
 
 def test_polynomial_ring_battery():
-    report = verify_polynomial_rings(10)
+    report = run_battery("polyring", max_n=10)
     assert report.passed and report.cases_run == 10
 
 
 def test_ci_battery_counts_multisets():
-    report = verify_complete_intersections(3, 3)
+    report = run_battery("ci", max_n=3, max_degree=3)
     # n=1: 1+2; n=2: 1+2+3; n=3: 1+2+3+4
     assert report.cases_run == 3 + 6 + 10
     assert report.passed
@@ -96,7 +88,9 @@ def test_ci_recursion_hand_case():
     lowered = complete_intersection(2, [2, 2])
     peeled = complete_intersection(1, [2])
     assert full == lowered + shift(peeled, -2)
-    report = verify_ci_recursion(60, 17, max_n=6, max_degree=5)
+    report = run_battery(
+        "ci-recursion", trials=60, seed=17, max_n=6, max_degree=5
+    )
     assert report.passed
 
 
@@ -105,7 +99,7 @@ def test_ci_truncation_hand_case():
     padded = complete_intersection(2, [2, 3])
     for j in range(3):
         assert plain.evaluate(j) == padded.evaluate(j)
-    report = verify_ci_truncation(5, 4)
+    report = run_battery("ci-truncation", max_n=5, max_degree=4)
     assert report.passed
 
 
@@ -114,24 +108,24 @@ def test_free_module_cases():
     assert qdepth(free_module(2, [0, 0, -1])).qdepth == 2
     # S(1) + S(-1) in three variables
     assert qdepth(free_module(3, [1, -1])).qdepth == 2
-    report = verify_free_modules(80, 3, max_n=5)
+    report = run_battery("free", trials=80, seed=3, max_n=5)
     assert report.passed
 
 
 def test_extension_battery_and_examples():
     assert qdepth(extend(from_table({0: 1}))).qdepth == 1
-    report = verify_extension(60, 23)
+    report = run_battery("extension", trials=60, seed=23)
     assert report.passed
 
 
 def test_structural_battery():
-    report = verify_structural_laws(120, 41)
+    report = run_battery("structural", trials=120, seed=41)
     assert report.passed, report.violations[:3]
     assert report.cases_run == 120
 
 
 def test_quotient_battery():
-    report = verify_quotients(60, 11, max_n=8)
+    report = run_battery("quotients", trials=60, seed=11, max_n=8)
     assert report.passed
     assert report.cases_run == 60
 
@@ -303,13 +297,13 @@ def test_window_batteries_match_per_entry_reference(monkeypatch, flip):
     else:
         monkeypatch.delenv(FLIP_BETA_ENV, raising=False)
     for seed in (271828, 5):
-        structural = verify_structural_laws(60, seed)
+        structural = run_battery("structural", trials=60, seed=seed)
         assert _same_report(structural, structural_reference(60, seed))
-        extension = verify_extension(60, seed)
+        extension = run_battery("extension", trials=60, seed=seed)
         assert _same_report(extension, extension_reference(60, seed))
         assert bool(structural.violations) == flip
         assert bool(extension.violations) == flip
     # the hook negates both tables alike, so truncation stays clean
-    truncation = verify_ci_truncation(4, 4)
+    truncation = run_battery("ci-truncation", max_n=4, max_degree=4)
     assert _same_report(truncation, ci_truncation_reference(4, 4))
     assert truncation.passed
