@@ -27,7 +27,11 @@ so a scan costs O(q^2) big-integer subtractions, with q = qdepth - k0 + 2,
 and no binomial coefficients.  The scans stream the rows and keep two of
 them (the current one and the certificate).  The closed form survives only
 in the single-entry ``beta``, which is the oracle the tests hold the kernel
-to, and in ``reconstruct``.
+to, and in ``reconstruct``.  ``reconstruct`` takes its binomials
+C(d - j, k - j) from a bounded cache keyed by (d - k, k - start_k), since
+the batteries invert rows of the same few shapes thousands of times.  They
+stay binomials, never kernel rows, so the inversion check stays
+independent of the kernel.
 
 The fault hook ``HILBERTDEPTH_FLIP_BETA`` is read only in this module,
 once per ``qdepth``, ``beta`` or ``beta_rows`` call.  It negates the
@@ -41,8 +45,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
-from operator import sub
+from operator import mul, sub
 from typing import Iterator
 
 from .errors import OutOfRangeError
@@ -184,16 +189,29 @@ def beta_table(h: HilbertFunction, d: int) -> BetaTable:
     return BetaTable(d, k0, tuple(row))
 
 
+@lru_cache(maxsize=128)
+def _inverse_coefficients(c: int, b: int) -> tuple[int, ...]:
+    """C(c + b - i, b - i) for i = 0..b: the weights ``reconstruct`` puts on
+    beta(d, start_k + i) to recover h(k), with c = d - k, b = k - start_k."""
+    return tuple(comb(c + b - i, b - i) for i in range(b + 1))
+
+
 def reconstruct(table: BetaTable, k: int) -> int:
-    """Invert the transform: sum_j C(d - j, k - j) beta(d, j) recovers h(k)."""
+    """Invert the transform: sum_j C(d - j, k - j) beta(d, j) recovers h(k).
+
+    The binomials depend only on c = d - k and b = k - start_k, and come
+    from an LRU cache of at most 128 tuples; the 13 inversion rows of a
+    ``structural`` case use 91 keys.  A tuple for (c, b) holds b + 1
+    integers below 2^(c + b), so in the worst case the cache holds
+    128 (b + 1) integers of c + b bits each, for the largest c + b among
+    its keys; the 91 battery keys (c + b <= 12) take about 20 KB.
+    """
     if not table.start_k <= k <= table.d:
         raise OutOfRangeError(
             f"k={k} outside table range [{table.start_k}, {table.d}]"
         )
-    return sum(
-        comb(table.d - j, k - j) * table.values[j - table.start_k]
-        for j in range(table.start_k, k + 1)
-    )
+    coeffs = _inverse_coefficients(table.d - k, k - table.start_k)
+    return sum(map(mul, coeffs, table.values))
 
 
 def bounds(h: HilbertFunction) -> tuple[int, int]:

@@ -12,7 +12,8 @@ taken by Horner's rule on integer numerator and denominator, with one
     sum_{j=0..k} (-1)^(k - j) C(k, j) (n)_j (n - k + 1)_(k - j)
 
 which equals (-1)^k (n - k + 1)_k gauss_2f1(k, n) and is strictly positive
-for 2 <= k <= n.
+for 2 <= k <= n.  Each term follows from the one before by exact integer
+steps, so the sum costs O(k) big-integer operations.
 
 ``coeff_table(n, kmax, jmax)`` holds c(k, j), the j-th derivative at 0 of
 (1 - x)^(k - 1) / (1 - x^2)^n.  Row k = 1 comes from the even power series
@@ -62,17 +63,27 @@ def gauss_2f1(k: int, n: int) -> Fraction:
 
 
 def big_e(n: int, k: int) -> int:
-    """Alternating binomial sum of rising factorials; positive on its domain."""
+    """Alternating binomial sum of rising factorials; positive on its domain.
+
+    The term for j is (-1)^(k - j) C(k, j) (n)_j (n - k + 1)_(k - j).  The
+    sum starts from C(k, 0) = 1, (n)_0 = 1 and (n - k + 1)_k, and steps j to
+    j + 1 by C(k, j + 1) = C(k, j) (k - j) / (j + 1),
+    (n)_(j + 1) = (n)_j (n + j) and
+    (n - k + 1)_(k - j - 1) = (n - k + 1)_(k - j) / (n - j), each an exact
+    integer step (n - j >= n - k + 1 >= 1), so the sum takes O(k) big-integer
+    operations instead of O(k^2).
+    """
     if not 2 <= k <= n:
         raise OutOfRangeError(f"need 2 <= k <= n, got k={k}, n={n}")
     total = 0
+    choose, from_n, from_low = 1, 1, pochhammer(n - k + 1, k)
     for j in range(k + 1):
-        total += (
-            (-1) ** (k - j)
-            * binomial(k, j)
-            * pochhammer(n, j)
-            * pochhammer(n - k + 1, k - j)
-        )
+        term = choose * from_n * from_low
+        total += -term if (k - j) % 2 else term
+        if j < k:
+            choose = choose * (k - j) // (j + 1)
+            from_n *= n + j
+            from_low //= n - j
     return total
 
 

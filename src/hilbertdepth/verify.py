@@ -17,7 +17,7 @@ import random
 import time
 
 from .depth import BetaTable, beta, beta_rows, beta_table, qdepth, reconstruct
-from .errors import GenerationFailedError
+from .errors import GenerationFailedError, OutOfRangeError
 from .hypergeometric import (
     check_beta_identity,
     check_derivative_link,
@@ -41,6 +41,12 @@ DEFAULT_SEED = 271828
 
 def _describe(h: HilbertFunction) -> str:
     return json.dumps(h.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def _case(case: int, h: HilbertFunction) -> str:
+    """Replayable prefix of a random-function violation; built only when a
+    violation is reported."""
+    return f"case {case}: h={_describe(h)}"
 
 
 def random_hilbert_function(rng: random.Random, depth: int = 2) -> HilbertFunction:
@@ -119,7 +125,9 @@ def verify_ci_recursion(
     With degrees (d_1..d_n), d_n >= 3: the function equals the one with d_n
     lowered by 1 plus the (n-1)-variable one with d_n removed and shifted up
     by d_n - 1, both as canonical forms and entrywise on the beta row at n,
-    where the shifted summand only enters for k >= d_n - 1.
+    where the shifted summand only enters for k >= d_n - 1.  Each of the
+    three functions gives one kernel row, read from one window; the smaller
+    one's row at n - d_n + 1 exists only when d_n <= n + 1.
     """
     violations = []
     rng = random.Random(seed)
@@ -140,11 +148,14 @@ def verify_ci_recursion(
                 Violation(f"{descriptor} series", repr(h_full), repr(recombined))
             )
             continue
+        full = beta_table(h_full, n)
+        lowered = beta_table(h_lowered, n)
+        smaller = beta_table(h_smaller, n - dn + 1) if dn <= n + 1 else None
         for k in range(n + 1):
-            lhs = beta(h_full, n, k)
-            rhs = beta(h_lowered, n, k)
+            lhs = full.value(k)
+            rhs = lowered.value(k)
             if k >= dn - 1:
-                rhs += beta(h_smaller, n - dn + 1, k - dn + 1)
+                rhs += smaller.value(k - dn + 1)
             if lhs != rhs:
                 violations.append(
                     Violation(f"{descriptor} beta k={k}", str(rhs), str(lhs))
@@ -207,18 +218,23 @@ def verify_free_modules(
     return trials, violations
 
 
-def _parity_violation(h: HilbertFunction, descriptor: str) -> Violation | None:
+def _parity_violation(
+    case: int, h: HilbertFunction, evals: list[int], extended: HilbertFunction
+) -> Violation | None:
     """Top entry of the extended function's beta row at d equals the sum of
-    h over degrees of the same parity as d.  The left side is the diagonal
-    of one kernel pass over the extended function's values, the right side
-    a parity sum of h's own values."""
+    h over degrees of the same parity as d, for d = k0..k0 + 10.
+
+    The caller passes what it already has: h's values evals[j - k0] = h(j)
+    from at least k0 to k0 + 10, and ``extended`` = extend(h), which it also
+    checks for depth.  The left side is the diagonal of one kernel pass over
+    the extended function's values, the right side a parity sum of evals."""
     k0 = h.k0
-    evals = h.values(k0, k0 + 10)
-    extended = extend(h).values(k0, k0 + 10)
-    for d, row in beta_rows(extended, k0, k0 + 10):
+    for d, row in beta_rows(extended.values(k0, k0 + 10), k0, k0 + 10):
         rhs = sum(evals[d - k0::-2])
         if row[-1] != rhs:
-            return Violation(f"{descriptor} parity d={d}", str(rhs), str(row[-1]))
+            return Violation(
+                f"{_case(case, h)} parity d={d}", str(rhs), str(row[-1])
+            )
     return None
 
 
@@ -229,14 +245,15 @@ def verify_extension(trials: int, seed: int) -> tuple[int, list[Violation]]:
     rng = random.Random(seed)
     for case in range(trials):
         h = random_hilbert_function(rng)
-        descriptor = f"case {case}: h={_describe(h)}"
+        extended = extend(h)
         base = qdepth(h).qdepth
-        lifted = qdepth(extend(h)).qdepth
+        lifted = qdepth(extended).qdepth
         if lifted < base:
             violations.append(
-                Violation(f"{descriptor} extension", f">= {base}", str(lifted))
+                Violation(f"{_case(case, h)} extension", f">= {base}", str(lifted))
             )
-        parity = _parity_violation(h, descriptor)
+        evals = h.values(h.k0, h.k0 + 10)
+        parity = _parity_violation(case, h, evals, extended)
         if parity is not None:
             violations.append(parity)
     return trials, violations
@@ -249,8 +266,10 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
 
     Each case reads h over its inversion window once and walks one kernel
     pass over it: every row d = k0..k0 + 12 must give back those values
-    through ``reconstruct``'s closed form.  The parity check reads h and
-    its extension over one window each (see ``_parity_violation``)."""
+    through ``reconstruct``'s closed form.  The parity check reuses the
+    first 11 of those 13 values, and extend(h) is built once for both the
+    extension check and the parity check (see ``_parity_violation``).  The
+    case descriptor is built only for a violation."""
     violations = []
     rng = random.Random(seed)
     for case in range(trials):
@@ -258,25 +277,26 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
         other = random_hilbert_function(rng)
         m = rng.randint(-3, 3)
         r = rng.choice((2, 3, 7))
-        descriptor = f"case {case}: h={_describe(h)}"
         result = qdepth(h)
         d0 = result.qdepth
         if not result.lower_bound <= d0 <= result.upper_bound:
             violations.append(
                 Violation(
-                    f"{descriptor} window",
+                    f"{_case(case, h)} window",
                     f"[{result.lower_bound}, {result.upper_bound}]",
                     str(d0),
                 )
             )
         if any(v < 0 for v in result.certificate.values):
             violations.append(
-                Violation(f"{descriptor} certificate", ">= 0 entries", "negative entry")
+                Violation(
+                    f"{_case(case, h)} certificate", ">= 0 entries", "negative entry"
+                )
             )
         if (result.refutation is None) != (d0 == result.upper_bound):
             violations.append(
                 Violation(
-                    f"{descriptor} refutation presence",
+                    f"{_case(case, h)} refutation presence",
                     "absent iff depth = upper bound",
                     repr(result.refutation),
                 )
@@ -285,36 +305,37 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
             rd, rk, rb = result.refutation
             if rb >= 0 or beta(h, rd, rk) != rb:
                 violations.append(
-                    Violation(f"{descriptor} refutation", "negative beta", str(rb))
+                    Violation(f"{_case(case, h)} refutation", "negative beta", str(rb))
                 )
         if h.kf is not None and d0 > h.kf:
             violations.append(
-                Violation(f"{descriptor} support cap", f"<= {h.kf}", str(d0))
+                Violation(f"{_case(case, h)} support cap", f"<= {h.kf}", str(d0))
             )
         shifted = qdepth(shift(h, m)).qdepth
         if shifted != d0 - m:
             violations.append(
-                Violation(f"{descriptor} shift m={m}", str(d0 - m), str(shifted))
+                Violation(f"{_case(case, h)} shift m={m}", str(d0 - m), str(shifted))
             )
         scaled = qdepth(scale(h, r)).qdepth
         if scaled != d0:
             violations.append(
-                Violation(f"{descriptor} scale r={r}", str(d0), str(scaled))
+                Violation(f"{_case(case, h)} scale r={r}", str(d0), str(scaled))
             )
         d_other = qdepth(other).qdepth
         d_sum = qdepth(h + other).qdepth
         if d_sum < min(d0, d_other):
             violations.append(
                 Violation(
-                    f"{descriptor} sum with {_describe(other)}",
+                    f"{_case(case, h)} sum with {_describe(other)}",
                     f">= {min(d0, d_other)}",
                     str(d_sum),
                 )
             )
-        lifted = qdepth(extend(h)).qdepth
+        extended = extend(h)
+        lifted = qdepth(extended).qdepth
         if lifted < d0:
             violations.append(
-                Violation(f"{descriptor} extension", f">= {d0}", str(lifted))
+                Violation(f"{_case(case, h)} extension", f">= {d0}", str(lifted))
             )
         k0 = h.k0
         evals = h.values(k0, k0 + 12)
@@ -331,12 +352,12 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
             if bad is not None:
                 violations.append(
                     Violation(
-                        f"{descriptor} inversion d={d} k={bad}",
+                        f"{_case(case, h)} inversion d={d} k={bad}",
                         str(evals[bad - k0]),
                         str(reconstruct(table, bad)),
                     )
                 )
-        parity = _parity_violation(h, descriptor)
+        parity = _parity_violation(case, h, evals, extended)
         if parity is not None:
             violations.append(parity)
     return trials, violations
@@ -406,6 +427,7 @@ def run_battery(
 ) -> VerificationReport:
     """Run one named battery, falling back to its default ranges where a
     parameter is None (an explicit 0 is an empty range, not the default).
+    A negative max_n, max_degree or trials raises ``OutOfRangeError``.
 
     The battery returns its case count and violations; the report takes its
     name from the table key (an alias resolves to it) and its elapsed time
@@ -416,6 +438,9 @@ def run_battery(
     except KeyError:
         raise ValueError(f"unknown battery {name!r}") from None
     given = {"max_n": max_n, "max_degree": max_degree, "trials": trials, "seed": seed}
+    for param in ("max_n", "max_degree", "trials"):
+        if given[param] is not None and given[param] < 0:
+            raise OutOfRangeError(f"{param} must be nonnegative, got {given[param]}")
     args = [given[p] if given[p] is not None else d for p, d in defaults.items()]
     start = time.perf_counter()
     cases, violations = battery(*args)

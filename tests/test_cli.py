@@ -194,6 +194,20 @@ def test_verify_explicit_zero_range():
     assert json.loads(proc.stdout)["batteries"][0]["casesRun"] == 0
 
 
+def test_verify_negative_range_exit_2():
+    proc = run_cli(
+        "verify", "polyring", "ci-recursion", "extension", "structural",
+        "--max-n", "-3", "--trials", "-5", "--json",
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "nonnegative" in proc.stderr and "Traceback" not in proc.stderr
+    proc = run_cli("verify", "ci", "--max-degree", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+
+
 def test_verify_requires_selection():
     proc = run_cli("verify")
     assert proc.returncode == 2

@@ -25,7 +25,13 @@ from hilbertdepth import (
     shift,
 )
 from hilbertdepth.combinatorics import binomial
-from hilbertdepth.depth import FLIP_BETA_ENV, _rows, beta_rows
+from hilbertdepth.depth import (
+    FLIP_BETA_ENV,
+    BetaTable,
+    _inverse_coefficients,
+    _rows,
+    beta_rows,
+)
 
 
 def beta_oracle(h, d, k):
@@ -103,6 +109,25 @@ def test_reconstruct_inverts():
                 assert reconstruct(table, k) == h.evaluate(k)
     with pytest.raises(OutOfRangeError):
         reconstruct(beta_table(polynomial_ring(2), 3), 4)
+
+
+def test_cached_reconstruct_matches_the_direct_sum():
+    # random tables, not kernel rows: negative start_k, negative entries and
+    # widths past the 91 (d - k, k - start_k) keys a structural case uses
+    rng = random.Random(2024)
+    for _ in range(400):
+        start = rng.randint(-30, 10)
+        d = start + rng.randint(0, 40)
+        values = tuple(rng.randint(-10**6, 10**6) for _ in range(d - start + 1))
+        table = BetaTable(d, start, values)
+        for k in range(start, d + 1):
+            direct = sum(
+                comb(d - j, k - j) * values[j - start] for j in range(start, k + 1)
+            )
+            assert reconstruct(table, k) == direct
+    maxsize = _inverse_coefficients.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize
+    assert _inverse_coefficients.cache_info().currsize <= maxsize
 
 
 def test_bounds():

@@ -109,6 +109,20 @@ def test_big_e_cross_identity():
             assert Fraction(big_e(n, k)) == expected
 
 
+def test_big_e_matches_the_direct_sum():
+    # the O(k^2) definition: every term from binomial and pochhammer
+    for n in range(2, 41):
+        for k in range(2, n + 1):
+            direct = sum(
+                (-1) ** (k - j)
+                * binomial(k, j)
+                * pochhammer(n, j)
+                * pochhammer(n - k + 1, k - j)
+                for j in range(k + 1)
+            )
+            assert big_e(n, k) == direct
+
+
 def test_coeff_table_row_one():
     for n in (1, 2, 3, 7):
         table = coeff_table(n, 4, 8)

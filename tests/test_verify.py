@@ -13,6 +13,7 @@ from hilbertdepth import (
     shift,
 )
 from hilbertdepth.depth import FLIP_BETA_ENV, beta, beta_table, reconstruct
+from hilbertdepth.errors import OutOfRangeError
 from hilbertdepth.report import VerificationReport, Violation
 from hilbertdepth.series import scale
 from hilbertdepth.verify import (
@@ -40,6 +41,15 @@ def test_explicit_zero_is_not_the_default():
         assert run_battery(name, trials=0).cases_run == 0
     for name in BATTERIES:
         assert run_battery(name, max_n=0, max_degree=0, trials=0).passed
+
+
+def test_negative_ranges_are_rejected():
+    for name in BATTERIES:
+        for param in ("max_n", "max_degree", "trials"):
+            with pytest.raises(OutOfRangeError, match=param):
+                run_battery(name, **{param: -1})
+    # a negative seed is only a seed
+    assert run_battery("structural", trials=3, seed=-7).cases_run == 3
 
 
 def test_registry_defaults_give_the_all_order_and_counts():
@@ -140,8 +150,41 @@ def test_random_pool_is_reproducible():
 
 
 # Reference batteries built entry by entry: one beta_table per d, one
-# closed-form beta per parity entry and one evaluate per value.  The
-# window-at-once batteries must report exactly what these report.
+# closed-form beta per parity or recursion entry and one evaluate per
+# value.  The window-at-once batteries must report exactly what these
+# report.
+
+
+def ci_recursion_reference(trials, seed, max_n=6, max_degree=6):
+    violations = []
+    rng = random.Random(seed)
+    max_n = max(max_n, 2)
+    max_degree = max(max_degree, 3)
+    for case in range(trials):
+        n = rng.randint(2, max_n)
+        degrees = [rng.randint(2, max_degree) for _ in range(n - 1)]
+        degrees.append(rng.randint(3, max_degree))
+        dn = degrees[-1]
+        descriptor = f"case {case}: n={n} degrees={degrees}"
+        h_full = complete_intersection(n, degrees)
+        h_lowered = complete_intersection(n, degrees[:-1] + [dn - 1])
+        h_smaller = complete_intersection(n - 1, degrees[:-1])
+        recombined = h_lowered + shift(h_smaller, -(dn - 1))
+        if h_full != recombined:
+            violations.append(
+                Violation(f"{descriptor} series", repr(h_full), repr(recombined))
+            )
+            continue
+        for k in range(n + 1):
+            lhs = beta(h_full, n, k)
+            rhs = beta(h_lowered, n, k)
+            if k >= dn - 1:
+                rhs += beta(h_smaller, n - dn + 1, k - dn + 1)
+            if lhs != rhs:
+                violations.append(
+                    Violation(f"{descriptor} beta k={k}", str(rhs), str(lhs))
+                )
+    return VerificationReport("ci-recursion", trials, violations)
 
 
 def parity_reference(h, descriptor):
@@ -303,6 +346,10 @@ def test_window_batteries_match_per_entry_reference(monkeypatch, flip):
         assert _same_report(extension, extension_reference(60, seed))
         assert bool(structural.violations) == flip
         assert bool(extension.violations) == flip
+        recursion = run_battery("ci-recursion", trials=100, seed=seed)
+        assert _same_report(recursion, ci_recursion_reference(100, seed))
+        wide = run_battery("ci-recursion", trials=60, seed=seed, max_n=9, max_degree=9)
+        assert _same_report(wide, ci_recursion_reference(60, seed, 9, 9))
     # the hook negates both tables alike, so truncation stays clean
     truncation = run_battery("ci-truncation", max_n=4, max_degree=4)
     assert _same_report(truncation, ci_truncation_reference(4, 4))
