@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .depth import BetaTable, QDepthResult, beta_table, qdepth
 from .dsl import parse_function
-from .errors import HilbertDepthError
+from .errors import HilbertDepthError, ParseError
 from .hypergeometric import big_e, coeff_table, gauss_2f1
 from .series import from_table
 from .squarefree import (
@@ -31,10 +30,19 @@ from .verify import BATTERIES, BATTERY_ALIASES, DEFAULT_SEED, run_battery
 
 
 def _read_arg(value: str) -> str:
-    """Literal argument, or the contents of a file when prefixed with @."""
-    if value.startswith("@"):
-        return Path(value[1:]).read_text()
-    return value
+    """Literal argument, or the contents of a UTF-8 file when prefixed with @.
+
+    A file that does not decode is a ParseError at the offending byte, so
+    it exits 2 like any other bad input.
+    """
+    if not value.startswith("@"):
+        return value
+    path = value[1:]
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 ({exc.reason})", exc.start) from exc
 
 
 def _emit_json(payload: dict) -> None:

@@ -1,13 +1,18 @@
 """Exact combinatorial primitives: binomial, factorial, rising factorial.
 
 All arithmetic is arbitrary precision (plain int, fractions.Fraction), so
-nothing here overflows or rounds.
+nothing here overflows or rounds.  ``pochhammer`` accepts a Fraction but
+never builds one, so ``fractions`` is imported only for type checking and
+stays off the import path of the CLI.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial as _math_factorial
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def binomial(m: int, r: int) -> int:

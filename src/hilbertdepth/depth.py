@@ -44,11 +44,10 @@ negative entry.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import mul, sub
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import OutOfRangeError
 from .series import HilbertFunction
@@ -59,8 +58,7 @@ from .series import HilbertFunction
 FLIP_BETA_ENV = "HILBERTDEPTH_FLIP_BETA"
 
 
-@dataclass(frozen=True)
-class BetaTable:
+class BetaTable(NamedTuple):
     """All beta values for one candidate depth d, from start_k up to d."""
 
     d: int
@@ -82,8 +80,7 @@ class BetaTable:
         }
 
 
-@dataclass(frozen=True)
-class QDepthResult:
+class QDepthResult(NamedTuple):
     """Computed depth plus the evidence: a nonnegative certificate table at
     the depth itself, the search bounds, and (when the depth is below the
     upper bound) one negative entry at depth + 1."""

@@ -16,8 +16,7 @@ precondition failure in ElaborationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import (
     MAX_LITERAL_DIGITS,
@@ -44,8 +43,7 @@ CONSTRUCTORS = ("table", "poly", "free", "ci", "shift", "sum", "scale", "extend"
 MAX_NESTING = 200
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(NamedTuple):
     """One node of the parsed expression tree."""
 
     op: str

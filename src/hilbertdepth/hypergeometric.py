@@ -29,14 +29,16 @@ ranges and return their case count and violations instead of raising;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .combinatorics import binomial, factorial, pochhammer
 from .depth import beta
 from .errors import InvalidArityError, OutOfRangeError
 from .report import Violation
 from .series import polynomial_ring
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def gauss_2f1(k: int, n: int) -> Fraction:
@@ -47,7 +49,14 @@ def gauss_2f1(k: int, n: int) -> Fraction:
     (1 + r_(k-1)))).  Horner's rule from the inside keeps it as one integer
     fraction N / D (N <- b_j D + a_j N, D <- b_j D); a single Fraction is
     built at the end.
+
+    ``fractions`` is imported here, where the Fraction is built, and in
+    ``check_beta_identity``: importing it (and ``decimal`` with it) at
+    module level would add to every CLI start, and no other command
+    builds one.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise OutOfRangeError(f"need n >= 1, got {n}")
     if not 0 <= k <= n:
@@ -87,8 +96,7 @@ def big_e(n: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(NamedTuple):
     """Derivative values c(k, j) for 1 <= k <= kmax, 0 <= j <= jmax."""
 
     n: int
@@ -182,6 +190,8 @@ def check_beta_identity(nmax: int) -> tuple[int, list[Violation]]:
     Exact rational equality of beta(polynomial_ring(n), n, k) and
     (-1)^k C(n, k) gauss_2f1(k, n) for all 0 <= k <= n <= nmax.
     """
+    from fractions import Fraction
+
     violations: list[Violation] = []
     cases = 0
     for n in range(1, nmax + 1):

@@ -1,12 +1,17 @@
-"""Deterministic verification reports with replayable case descriptors."""
+"""Deterministic verification reports with replayable case descriptors.
+
+A ``Violation`` names one failing case by a descriptor that replays it, and
+a ``VerificationReport`` collects one battery's case count and violations.
+Both are immutable ``NamedTuple`` records: ``verify.run_battery`` builds
+each report once, and nothing updates it afterwards.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     case: str
     expected: str
     actual: str
@@ -15,11 +20,10 @@ class Violation:
         return f"{self.case}: expected {self.expected}, got {self.actual}"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     battery: str
     cases_run: int
-    violations: list[Violation] = field(default_factory=list)
+    violations: Sequence[Violation] = ()
     elapsed: float = 0.0
 
     @property

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .depth import QDepthResult, qdepth, scan
 from .errors import (
@@ -58,8 +57,7 @@ def minimalize(masks: Iterable[int]) -> frozenset[int]:
     return frozenset(kept)
 
 
-@dataclass(frozen=True)
-class SquarefreeIdeal:
+class SquarefreeIdeal(NamedTuple):
     n: int
     generators: frozenset[int]
 
@@ -90,27 +88,40 @@ class SquarefreeIdeal:
         return any(g & mask == g for g in self.generators)
 
 
-@dataclass(frozen=True)
-class SquarefreeQuotient:
+# A NamedTuple class body cannot define __new__, so the checked record
+# subclasses the functional form.
+class SquarefreeQuotient(
+    NamedTuple(
+        "SquarefreeQuotient",
+        [("n", int), ("upper", SquarefreeIdeal), ("lower", SquarefreeIdeal)],
+    )
+):
     """Nested pair lower subset-of upper with at least one squarefree
     monomial in upper but not lower."""
 
-    n: int
-    upper: SquarefreeIdeal
-    lower: SquarefreeIdeal
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.upper.n != self.n or self.lower.n != self.n:
+    def __new__(
+        cls, n: int, upper: SquarefreeIdeal, lower: SquarefreeIdeal
+    ) -> SquarefreeQuotient:
+        if upper.n != n or lower.n != n:
             raise InvalidQuotientError("ideals live in different variable counts")
-        if self.upper.is_zero:
+        if upper.is_zero:
             raise InvalidQuotientError("outer ideal is zero")
-        for g in self.lower.generators:
-            if not self.upper.contains(g):
+        for g in lower.generators:
+            if not upper.contains(g):
                 raise InvalidQuotientError(
                     f"inner generator {format_monomial(g)} is not in the outer ideal"
                 )
-        if all(self.lower.contains(g) for g in self.upper.generators):
+        if all(lower.contains(g) for g in upper.generators):
             raise InvalidQuotientError("the two ideals are equal")
+        return super().__new__(cls, n, upper, lower)
+
+    # The inherited _make (and _replace, which calls it) would build the
+    # tuple without the checks above.
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SquarefreeQuotient:
+        return cls(*iterable)
 
 
 def _resolve_cap(n: int, max_vars: int | None) -> None:

@@ -115,6 +115,18 @@ def test_missing_file_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_undecodable_file_exit_2(tmp_path):
+    spec_file = tmp_path / "fn.txt"
+    spec_file.write_bytes(b"\xff\xfepoly(3)")
+    for argv in (("qdepth", f"@{spec_file}"), ("sqf", "3", f"@{spec_file}")):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert str(spec_file) in proc.stderr and "not UTF-8" in proc.stderr
+
+
 def test_sqf_match_cases():
     proc = run_cli("sqf", "2", "x1", "0")
     assert proc.returncode == 0
@@ -271,15 +283,26 @@ def test_verify_has_no_parallel_option():
     assert "--parallel" in proc.stderr
 
 
-def test_cli_import_loads_no_process_pool():
+def loaded_by_cli_import(*modules):
+    """Those of the modules that a fresh `import hilbertdepth.cli` loads."""
     proc = run_python(
         "-c",
         "import sys, hilbertdepth.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-        "if m in sys.modules))",
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_process_pool():
+    assert loaded_by_cli_import("concurrent.futures", "multiprocessing") == "[]"
+
+
+def test_cli_import_loads_no_dataclasses_or_fractions():
+    # Each CLI call starts a fresh interpreter. No command needs dataclasses
+    # or inspect, and only the commands that build a Fraction import
+    # fractions (and decimal with it), when they build one.
+    assert loaded_by_cli_import("dataclasses", "inspect", "fractions", "decimal") == "[]"
 
 
 def test_flip_hook_fails_verify():
