@@ -8,7 +8,6 @@ quotients), and ships verification batteries that check the governing laws
 at desk scale with machine-checkable certificates.
 """
 
-from .combinatorics import binomial, factorial, pochhammer
 from .depth import (
     BetaTable,
     QDepthResult,
@@ -52,10 +51,8 @@ from .squarefree import (
     SquarefreeQuotient,
     alpha_vector,
     check_qdepth_match,
-    m_module,
     parse_ideal,
     qdepth_from_alpha,
-    qdepth_quotient,
     random_quotient,
 )
 
@@ -89,26 +86,21 @@ __all__ = [
     "beta",
     "beta_table",
     "big_e",
-    "binomial",
     "bounds",
     "check_qdepth_match",
     "coeff_table",
     "complete_intersection",
     "elaborate",
     "extend",
-    "factorial",
     "free_module",
     "from_table",
     "gauss_2f1",
-    "m_module",
     "parse_function",
     "parse_ideal",
     "parse_spec",
-    "pochhammer",
     "polynomial_ring",
     "qdepth",
     "qdepth_from_alpha",
-    "qdepth_quotient",
     "random_quotient",
     "reconstruct",
     "scale",

@@ -214,8 +214,7 @@ def reconstruct(table: BetaTable, k: int) -> int:
 def bounds(h: HilbertFunction) -> tuple[int, int]:
     """Inclusive search window [k0, k0 + floor(h1/h0)] for the depth."""
     k0 = h.k0
-    h0 = h.evaluate(k0)
-    h1 = h.evaluate(k0 + 1)
+    h0, h1 = h.values(k0, k0 + 1)
     return k0, k0 + h1 // h0
 
 

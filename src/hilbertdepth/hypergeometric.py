@@ -29,9 +29,9 @@ ranges and return their case count and violations instead of raising;
 
 from __future__ import annotations
 
+from math import comb, factorial, perm
 from typing import TYPE_CHECKING, NamedTuple
 
-from .combinatorics import binomial, factorial, pochhammer
 from .depth import beta
 from .errors import InvalidArityError, OutOfRangeError
 from .report import Violation
@@ -75,8 +75,9 @@ def big_e(n: int, k: int) -> int:
     """Alternating binomial sum of rising factorials; positive on its domain.
 
     The term for j is (-1)^(k - j) C(k, j) (n)_j (n - k + 1)_(k - j).  The
-    sum starts from C(k, 0) = 1, (n)_0 = 1 and (n - k + 1)_k, and steps j to
-    j + 1 by C(k, j + 1) = C(k, j) (k - j) / (j + 1),
+    sum starts from C(k, 0) = 1, (n)_0 = 1 and (n - k + 1)_k = n! / (n - k)!
+    (``perm(n, k)``), and steps j to j + 1 by
+    C(k, j + 1) = C(k, j) (k - j) / (j + 1),
     (n)_(j + 1) = (n)_j (n + j) and
     (n - k + 1)_(k - j - 1) = (n - k + 1)_(k - j) / (n - j), each an exact
     integer step (n - j >= n - k + 1 >= 1), so the sum takes O(k) big-integer
@@ -85,7 +86,7 @@ def big_e(n: int, k: int) -> int:
     if not 2 <= k <= n:
         raise OutOfRangeError(f"need 2 <= k <= n, got k={k}, n={n}")
     total = 0
-    choose, from_n, from_low = 1, 1, pochhammer(n - k + 1, k)
+    choose, from_n, from_low = 1, 1, perm(n, k)
     for j in range(k + 1):
         term = choose * from_n * from_low
         total += -term if (k - j) % 2 else term
@@ -117,7 +118,7 @@ def coeff_table(n: int, kmax: int, jmax: int) -> CoeffTable:
             f"need n >= 1, kmax >= 1, jmax >= 0; got n={n}, kmax={kmax}, jmax={jmax}"
         )
     row1 = tuple(
-        0 if j % 2 else binomial(n + j // 2 - 1, j // 2) * factorial(j)
+        0 if j % 2 else comb(n + j // 2 - 1, j // 2) * factorial(j)
         for j in range(jmax + 1)
     )
     rows = [row1]
@@ -199,7 +200,7 @@ def check_beta_identity(nmax: int) -> tuple[int, list[Violation]]:
         for k in range(n + 1):
             cases += 1
             lhs = Fraction(beta(ring, n, k))
-            rhs = (-1) ** k * binomial(n, k) * gauss_2f1(k, n)
+            rhs = (-1) ** k * comb(n, k) * gauss_2f1(k, n)
             if lhs != rhs:
                 violations.append(Violation(f"n={n} k={k}", str(rhs), str(lhs)))
     return cases, violations

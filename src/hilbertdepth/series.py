@@ -21,6 +21,7 @@ EmptyFunctionError instead of building it.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate
 from math import comb
 from operator import sub
@@ -61,10 +62,6 @@ class LaurentPolynomial:
     def one(cls) -> LaurentPolynomial:
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> LaurentPolynomial:
-        return cls({exp: coeff})
-
     def coeff(self, e: int) -> int:
         return self._coeffs.get(e, 0)
 
@@ -99,14 +96,6 @@ class LaurentPolynomial:
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
-
-    def __mul__(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPolynomial(out)
 
     def scaled(self, r: int) -> LaurentPolynomial:
@@ -289,9 +278,7 @@ def free_module(n: int, shifts: Iterable[int]) -> HilbertFunction:
         raise InvalidArityError(f"need at least one variable, got {n}")
     if not shift_list:
         raise InvalidArityError("need at least one summand shift")
-    num = LaurentPolynomial()
-    for a in shift_list:
-        num = num + LaurentPolynomial.monomial(-a)
+    num = LaurentPolynomial(Counter(-a for a in shift_list))
     return HilbertFunction(num, n)
 
 

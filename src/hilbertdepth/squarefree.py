@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     TooManyVariablesError,
 )
-from .series import HilbertFunction, from_table
+from .series import from_table
 
 DEFAULT_VARIABLE_CAP = 20
 HARD_VARIABLE_CAP = 28
@@ -96,14 +96,16 @@ class SquarefreeQuotient(
         [("n", int), ("upper", SquarefreeIdeal), ("lower", SquarefreeIdeal)],
     )
 ):
-    """Nested pair lower subset-of upper with at least one squarefree
-    monomial in upper but not lower."""
+    """Nested pair lower subset-of upper in n >= 0 variables with at least
+    one squarefree monomial in upper but not lower."""
 
     __slots__ = ()
 
     def __new__(
         cls, n: int, upper: SquarefreeIdeal, lower: SquarefreeIdeal
     ) -> SquarefreeQuotient:
+        if n < 0:
+            raise InvalidQuotientError(f"need n >= 0 variables, got n={n}")
         if upper.n != n or lower.n != n:
             raise InvalidQuotientError("ideals live in different variable counts")
         if upper.is_zero:
@@ -195,12 +197,6 @@ def alpha_vector(q: SquarefreeQuotient, max_vars: int | None = None) -> list[int
     return alpha[: n + 1]
 
 
-def m_module(q: SquarefreeQuotient, max_vars: int | None = None) -> HilbertFunction:
-    """The finite Hilbert function whose table is the alpha vector."""
-    alpha = alpha_vector(q, max_vars)
-    return from_table({k: a for k, a in enumerate(alpha) if a})
-
-
 def qdepth_from_alpha(alpha: list[int]) -> QDepthResult:
     """Depth of a degree-count vector, scanning rows d = 0, 1, ... up to the
     first one with a negative entry (at the latest row n + 1).
@@ -215,11 +211,6 @@ def qdepth_from_alpha(alpha: list[int]) -> QDepthResult:
         raise EmptyFunctionError("alpha vector has no nonzero entry")
     h1 = alpha[k0 + 1] if k0 + 1 < len(alpha) else 0
     return scan([*alpha, 0], 0, k0, k0 + h1 // alpha[k0])
-
-
-def qdepth_quotient(q: SquarefreeQuotient, max_vars: int | None = None) -> QDepthResult:
-    """Depth of the quotient straight from its alpha vector."""
-    return qdepth_from_alpha(alpha_vector(q, max_vars))
 
 
 def check_qdepth_match(q: SquarefreeQuotient, max_vars: int | None = None) -> bool:

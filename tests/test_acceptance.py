@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from hilbertdepth import (
@@ -20,7 +21,6 @@ from hilbertdepth import (
     polynomial_ring,
     qdepth,
 )
-from hilbertdepth.combinatorics import binomial
 from hilbertdepth.verify import DEFAULT_SEED, run_battery
 
 REPO = Path(__file__).resolve().parents[1]
@@ -65,7 +65,7 @@ def test_criterion_04_beta_identity():
     # spot re-check with independent pieces
     for n, k in [(7, 3), (25, 25), (60, 31)]:
         lhs = Fraction(beta(polynomial_ring(n), n, k))
-        assert lhs == (-1) ** k * binomial(n, k) * gauss_2f1(k, n)
+        assert lhs == (-1) ** k * comb(n, k) * gauss_2f1(k, n)
     _announce(4, "beta of the ring equals the closed Gauss form to 60")
 
 

@@ -385,3 +385,10 @@ def test_sqf_max_vars_flag():
     assert proc.returncode == 2  # above the default cap
     proc = run_cli("sqf", "21", "x1", "0", "--max-vars", "22")
     assert proc.returncode == 0
+
+
+def test_sqf_negative_variable_count_exit_2():
+    assert_one_line_exit_2(run_cli("sqf", "-1", "1"), "got n=-1")
+    # no variables is valid: the ring K, with alpha [1]
+    proc = run_cli("sqf", "0", "1")
+    assert proc.returncode == 0 and "alpha: [1]" in proc.stdout

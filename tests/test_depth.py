@@ -24,7 +24,6 @@ from hilbertdepth import (
     scale,
     shift,
 )
-from hilbertdepth.combinatorics import binomial
 from hilbertdepth.depth import (
     FLIP_BETA_ENV,
     BetaTable,
@@ -37,7 +36,7 @@ from hilbertdepth.depth import (
 def beta_oracle(h, d, k):
     """Direct alternating sum, written separately from the implementation."""
     return sum(
-        (-1) ** (k - j) * binomial(d - j, k - j) * h.evaluate(j)
+        (-1) ** (k - j) * comb(d - j, k - j) * h.evaluate(j)
         for j in range(h.k0, k + 1)
     )
 

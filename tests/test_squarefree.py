@@ -27,14 +27,11 @@ from hilbertdepth import (
     beta,
     check_qdepth_match,
     from_table,
-    m_module,
     qdepth_from_alpha,
-    qdepth_quotient,
     random_quotient,
     reconstruct,
 )
 from hilbertdepth import squarefree
-from hilbertdepth.combinatorics import binomial
 from hilbertdepth.depth import _rows
 from hilbertdepth.squarefree import format_ideal, format_monomial, minimalize, parse_ideal
 
@@ -198,7 +195,7 @@ def test_alpha_bounds_and_mass():
         except GenerationFailedError:
             continue
         alpha = alpha_vector(q)
-        assert all(0 <= alpha[k] <= binomial(n, k) for k in range(n + 1))
+        assert all(0 <= alpha[k] <= comb(n, k) for k in range(n + 1))
         direct = sum(
             1
             for mask in range(1 << n)
@@ -214,17 +211,25 @@ def test_quotient_validation():
         SquarefreeQuotient(2, parse_ideal("x1", 2), parse_ideal("x1", 2))
     with pytest.raises(InvalidQuotientError):
         SquarefreeQuotient(2, parse_ideal("0", 2), parse_ideal("0", 2))
+    with pytest.raises(InvalidQuotientError, match="n=-1"):
+        SquarefreeQuotient(-1, SquarefreeIdeal.unit(-1), SquarefreeIdeal.zero(-1))
+
+
+def alpha_function(alpha):
+    """The finite Hilbert function whose table is the alpha vector."""
+    return from_table(dict(enumerate(alpha)))
 
 
 def test_qdepth_quotient_examples():
+    # a quotient's depth straight from its alpha vector
     q = SquarefreeQuotient(2, parse_ideal("x1", 2), parse_ideal("0", 2))
-    result = qdepth_quotient(q)
+    result = qdepth_from_alpha(alpha_vector(q))
     assert result.qdepth == 2
     assert result.certificate.values == (0, 1, 0)
     q = SquarefreeQuotient(3, parse_ideal("1", 3), parse_ideal("0", 3))
-    assert qdepth_quotient(q).qdepth == 3
+    assert qdepth_from_alpha(alpha_vector(q)).qdepth == 3
     q = SquarefreeQuotient(3, parse_ideal("x1*x2", 3), parse_ideal("x1*x2*x3", 3))
-    assert qdepth_quotient(q).qdepth == 2
+    assert qdepth_from_alpha(alpha_vector(q)).qdepth == 2
 
 
 def test_qdepth_from_alpha_rejects_zero_vector():
@@ -246,12 +251,14 @@ def test_check_qdepth_match_counts_alpha_once(monkeypatch):
 
 
 def test_m_module():
+    # the module's Hilbert function is the table of the alpha vector
     q = SquarefreeQuotient(2, parse_ideal("x1", 2), parse_ideal("0", 2))
-    assert m_module(q) == from_table({1: 1, 2: 1})
+    assert alpha_vector(q) == [0, 1, 1]
+    assert alpha_function(alpha_vector(q)) == from_table({1: 1, 2: 1})
     q = SquarefreeQuotient(1, parse_ideal("x1", 1), parse_ideal("0", 1))
-    assert m_module(q) == from_table({1: 1})
+    assert alpha_vector(q) == [0, 1]
     q = SquarefreeQuotient(3, parse_ideal("1", 3), parse_ideal("0", 3))
-    assert m_module(q) == from_table({0: 1, 1: 3, 2: 3, 3: 1})
+    assert alpha_vector(q) == [1, 3, 3, 1]
 
 
 def test_beta_consistency_between_routes():
@@ -265,7 +272,7 @@ def test_beta_consistency_between_routes():
         except GenerationFailedError:
             continue
         alpha = alpha_vector(q)
-        h = m_module(q)
+        h = alpha_function(alpha)
 
         def closed_form(d, k):
             return 0 if k < h.k0 else beta(h, d, k)
@@ -298,10 +305,10 @@ def test_depth_routes_match():
             continue
         produced += 1
         assert check_qdepth_match(q), (q.n, format_ideal(q.upper), format_ideal(q.lower))
-        result = qdepth_quotient(q)
-        assert result.qdepth <= m_module(q).kf <= q.n
-        # certificates reconstruct the alpha entries
         alpha = alpha_vector(q)
+        result = qdepth_from_alpha(alpha)
+        assert result.qdepth <= alpha_function(alpha).kf <= q.n
+        # certificates reconstruct the alpha entries
         for k in range(result.certificate.start_k, result.qdepth + 1):
             assert reconstruct(result.certificate, k) == alpha[k]
 
