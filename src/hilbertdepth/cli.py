@@ -26,7 +26,7 @@ from .squarefree import (
     parse_ideal,
     qdepth_from_alpha,
 )
-from .verify import BATTERIES, BATTERY_ALIASES, DEFAULT_SEED, run_battery
+from .verify import BATTERIES, DEFAULT_SEED, run_battery
 
 
 def _read_arg(value: str) -> str:
@@ -66,8 +66,6 @@ def _print_result(result: QDepthResult) -> None:
 
 
 def cmd_qdepth(args: argparse.Namespace) -> int:
-    if args.d is not None:
-        return cmd_beta(args)
     h = parse_function(_read_arg(args.spec))
     result = qdepth(h)
     if args.json:
@@ -96,7 +94,7 @@ def cmd_sqf(args: argparse.Namespace) -> int:
     quotient = SquarefreeQuotient(args.n, upper, lower)
     alpha = alpha_vector(quotient, args.max_vars)
     direct = qdepth_from_alpha(alpha)
-    table = from_table({k: a for k, a in enumerate(alpha) if a})
+    table = from_table(dict(enumerate(alpha)))
     via_function = qdepth(table)
     match = direct.qdepth == via_function.qdepth
     if args.json:
@@ -160,10 +158,7 @@ def cmd_hyp(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.all:
-        names = list(BATTERIES)
-    else:
-        names = [BATTERY_ALIASES.get(b, b) for b in args.batteries]
+    names = list(BATTERIES) if args.all else args.batteries
     if not names:
         print("error: no batteries selected (name some or pass --all)", file=sys.stderr)
         return 2
@@ -203,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_qdepth = sub.add_parser("qdepth", help="depth of a function expression")
     p_qdepth.add_argument("spec", help="function expression, or @file")
-    p_qdepth.add_argument("--d", type=int, default=None,
-                          help="print the beta table at this depth instead")
     p_qdepth.add_argument("--json", action="store_true")
     p_qdepth.set_defaults(func=cmd_qdepth)
 
@@ -233,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "batteries",
         nargs="*",
-        help="battery names: " + ", ".join(BATTERIES)
-        + " (aliases: " + ", ".join(f"{a}={b}" for a, b in BATTERY_ALIASES.items()) + ")",
+        help="battery names: " + ", ".join(BATTERIES),
     )
     p_verify.add_argument("--all", action="store_true", help="run every battery")
     p_verify.add_argument("--max-n", type=int, default=None)

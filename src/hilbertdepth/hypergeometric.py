@@ -148,16 +148,16 @@ def geometric_square_series(n: int, order: int) -> list[int]:
     return result
 
 
-def check_sign_positivity(nmax: int) -> tuple[int, list[Violation]]:
+def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
     """Signs of the terminating Gauss values, big_e, and the c-table.
 
-    For every n up to nmax: the k = 0 and k = 1 Gauss values are exactly 1
+    For every n up to max_n: the k = 0 and k = 1 Gauss values are exactly 1
     and 0; for 2 <= k <= n, (-1)^k gauss_2f1(k, n) > 0 and big_e(n, k) > 0;
     and (-1)^j c(k, j) > 0 throughout rows k >= 2 of the table.
     """
     violations: list[Violation] = []
     cases = 0
-    for n in range(1, nmax + 1):
+    for n in range(1, max_n + 1):
         cases += 1
         if gauss_2f1(0, n) != 1:
             violations.append(Violation(f"n={n} k=0", "1", str(gauss_2f1(0, n))))
@@ -185,17 +185,17 @@ def check_sign_positivity(nmax: int) -> tuple[int, list[Violation]]:
     return cases, violations
 
 
-def check_beta_identity(nmax: int) -> tuple[int, list[Violation]]:
+def check_beta_identity(max_n: int) -> tuple[int, list[Violation]]:
     """beta(n, k) of the n-variable ring against the closed Gauss form.
 
     Exact rational equality of beta(polynomial_ring(n), n, k) and
-    (-1)^k C(n, k) gauss_2f1(k, n) for all 0 <= k <= n <= nmax.
+    (-1)^k C(n, k) gauss_2f1(k, n) for all 0 <= k <= n <= max_n.
     """
     from fractions import Fraction
 
     violations: list[Violation] = []
     cases = 0
-    for n in range(1, nmax + 1):
+    for n in range(1, max_n + 1):
         ring = polynomial_ring(n)
         for k in range(n + 1):
             cases += 1
@@ -206,16 +206,16 @@ def check_beta_identity(nmax: int) -> tuple[int, list[Violation]]:
     return cases, violations
 
 
-def check_derivative_link(nmax: int) -> tuple[int, list[Violation]]:
+def check_derivative_link(max_n: int) -> tuple[int, list[Violation]]:
     """big_e(n, k) against the table diagonal, and row 1 against the series.
 
-    Checks big_e(n, k) == (-1)^k c(k, k) for 2 <= k <= n <= nmax, and that
+    Checks big_e(n, k) == (-1)^k c(k, k) for 2 <= k <= n <= max_n, and that
     row 1 of each table matches j! times the convolution-built series of
     (1 - x^2)^(-n).
     """
     violations: list[Violation] = []
     cases = 0
-    for n in range(2, nmax + 1):
+    for n in range(2, max_n + 1):
         table = coeff_table(n, n, n)
         series = geometric_square_series(n, n)
         for j in range(n + 1):

@@ -226,28 +226,6 @@ class HilbertFunction:
             "denomPower": self.denom_power,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> HilbertFunction:
-        """Inverse of ``to_json_dict``.  With no denominator the coefficients
-        are the values, so every one of them must be nonnegative.  With one,
-        h(k) for large k has the sign of the numerator's value at t = 1,
-        which must therefore be positive; values before that are not
-        checked here."""
-        num = LaurentPolynomial(
-            {int(e): int(c) for e, c in data["numerator"].items()}
-        )
-        h = cls(num, int(data["denomPower"]))
-        if h.denom_power == 0:
-            for e, c in h.numerator.items():
-                if c < 0:
-                    raise NegativeValueError(f"coefficient at degree {e} is {c}")
-        elif h.numerator.sum_of_coeffs() < 0:
-            raise NegativeValueError(
-                f"numerator is {h.numerator.sum_of_coeffs()} at t = 1, so the "
-                "values turn negative for large degrees"
-            )
-        return h
-
 
 def from_table(values: Mapping[int, int]) -> HilbertFunction:
     """Finite-support function from a degree -> value table.

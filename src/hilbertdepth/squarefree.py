@@ -213,11 +213,11 @@ def qdepth_from_alpha(alpha: list[int]) -> QDepthResult:
     return scan([*alpha, 0], 0, k0, k0 + h1 // alpha[k0])
 
 
-def check_qdepth_match(q: SquarefreeQuotient, max_vars: int | None = None) -> bool:
+def check_qdepth_match(q: SquarefreeQuotient) -> bool:
     """The alpha-vector depth against the depth of its Hilbert function,
     both from one count of the alpha vector."""
-    alpha = alpha_vector(q, max_vars)
-    table = from_table({k: a for k, a in enumerate(alpha) if a})
+    alpha = alpha_vector(q)
+    table = from_table(dict(enumerate(alpha)))
     return qdepth_from_alpha(alpha).qdepth == qdepth(table).qdepth
 
 
@@ -281,22 +281,23 @@ def parse_ideal(text: str, n: int) -> SquarefreeIdeal:
         var_pos = term_pos
         for factor in term.split("*"):
             name = factor.strip()
+            name_pos = var_pos + factor.index(name)
             match = _VARIABLE_RE.fullmatch(name)
             if not match:
-                raise ParseError(f"bad variable {name!r}", var_pos, ("x<index>",))
+                raise ParseError(f"bad variable {name!r}", name_pos, ("x<index>",))
             if len(match.group(1)) > MAX_LITERAL_DIGITS:
                 raise ParseError(
-                    f"variable index over {MAX_LITERAL_DIGITS} digits", var_pos, ()
+                    f"variable index over {MAX_LITERAL_DIGITS} digits", name_pos, ()
                 )
             index = int(match.group(1))
             if not 1 <= index <= n:
                 raise ParseError(
-                    f"variable x{index} outside x1..x{n}", var_pos, ()
+                    f"variable x{index} outside x1..x{n}", name_pos, ()
                 )
             bit = 1 << (index - 1)
             if mask & bit:
                 raise ParseError(
-                    f"repeated variable x{index} (not squarefree)", var_pos, ()
+                    f"repeated variable x{index} (not squarefree)", name_pos, ()
                 )
             mask |= bit
             var_pos += len(factor) + 1

@@ -118,7 +118,7 @@ def verify_complete_intersections(
 
 
 def verify_ci_recursion(
-    trials: int, seed: int, max_n: int = 6, max_degree: int = 6
+    trials: int, seed: int, max_n: int, max_degree: int
 ) -> tuple[int, list[Violation]]:
     """Peeling one degree off a complete intersection.
 
@@ -127,12 +127,12 @@ def verify_ci_recursion(
     by d_n - 1, both as canonical forms and entrywise on the beta row at n,
     where the shifted summand only enters for k >= d_n - 1.  Each of the
     three functions gives one kernel row, read from one window; the smaller
-    one's row at n - d_n + 1 exists only when d_n <= n + 1.
+    one's row at n - d_n + 1 exists only when d_n <= n + 1.  With n in
+    [2, max_n] and d_n in [3, max_degree], an empty range gives no cases.
     """
     violations = []
     rng = random.Random(seed)
-    max_n = max(max_n, 2)
-    max_degree = max(max_degree, 3)  # one degree must reach 3 to peel
+    trials = trials if max_n >= 2 and max_degree >= 3 else 0
     for case in range(trials):
         n = rng.randint(2, max_n)
         degrees = [rng.randint(2, max_degree) for _ in range(n - 1)]
@@ -191,7 +191,7 @@ def verify_ci_truncation(max_n: int, max_degree: int) -> tuple[int, list[Violati
 
 
 def verify_free_modules(
-    trials: int, seed: int, max_n: int = 6
+    trials: int, seed: int, max_n: int
 ) -> tuple[int, list[Violation]]:
     """Graded free modules S(a)^n1 + S(a-1)^n2 + sum_j S(a_j) with n1 > n2
     and a >= a_j + 2 have depth n - a.  n is drawn from [1, max_n], so an
@@ -364,7 +364,7 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
 
 
 def verify_quotients(
-    trials: int, seed: int, max_n: int = 10
+    trials: int, seed: int, max_n: int
 ) -> tuple[int, list[Violation]]:
     """Depth from the alpha vector equals depth of its Hilbert function on
     seeded random squarefree quotients in n in [1, max_n] variables (none
@@ -415,8 +415,6 @@ BATTERIES = {
     "e-link": (check_derivative_link, {"max_n": 15}),
 }
 
-BATTERY_ALIASES = {"lemma": "signs", "qq": "quotients"}
-
 
 def run_battery(
     name: str,
@@ -430,11 +428,9 @@ def run_battery(
     A negative max_n, max_degree or trials raises ``OutOfRangeError``.
 
     The battery returns its case count and violations; the report takes its
-    name from the table key (an alias resolves to it) and its elapsed time
-    from around the call."""
-    key = BATTERY_ALIASES.get(name, name)
+    name from the table key and its elapsed time from around the call."""
     try:
-        battery, defaults = BATTERIES[key]
+        battery, defaults = BATTERIES[name]
     except KeyError:
         raise ValueError(f"unknown battery {name!r}") from None
     given = {"max_n": max_n, "max_degree": max_degree, "trials": trials, "seed": seed}
@@ -444,4 +440,4 @@ def run_battery(
     args = [given[p] if given[p] is not None else d for p, d in defaults.items()]
     start = time.perf_counter()
     cases, violations = battery(*args)
-    return VerificationReport(key, cases, violations, time.perf_counter() - start)
+    return VerificationReport(name, cases, violations, time.perf_counter() - start)

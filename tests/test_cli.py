@@ -46,21 +46,17 @@ def test_qdepth_worked_example():
 
 
 def test_qdepth_beta_flag():
-    proc = run_cli("qdepth", "table(0:1,1:1)", "--d=1")
-    assert proc.returncode == 0
-    assert "[1, 0]" in proc.stdout
-
-
-def test_qdepth_beta_flag_matches_beta_subcommand():
-    for extra in ((), ("--json",)):
-        via_qdepth = run_cli("qdepth", "ci(3; 2, 3)", "--d", "4", *extra)
-        via_beta = run_cli("beta", "ci(3; 2, 3)", "--d", "4", *extra)
-        assert via_qdepth.returncode == via_beta.returncode == 0
-        assert via_qdepth.stdout == via_beta.stdout
+    # a beta table is the job of `beta SPEC --d N` alone
+    proc = run_cli("qdepth", "table(0:1,1:1)", "--d", "1")
+    assert proc.returncode == 2
+    assert "--d" in proc.stderr
 
 
 def test_beta_subcommand():
     proc = run_cli("beta", "poly(1)", "--d=1")
+    assert proc.returncode == 0
+    assert "[1, 0]" in proc.stdout
+    proc = run_cli("beta", "table(0:1,1:1)", "--d=1")
     assert proc.returncode == 0
     assert "[1, 0]" in proc.stdout
 
@@ -193,13 +189,6 @@ def test_verify_selected_batteries():
     assert "total violations: 0" in proc.stdout
 
 
-def test_verify_aliases():
-    proc = run_cli("verify", "lemma", "--max-n", "6")
-    assert proc.returncode == 0
-    proc = run_cli("verify", "qq", "--trials", "20", "--max-n", "5", "--seed", "1")
-    assert proc.returncode == 0
-
-
 def test_verify_explicit_zero_range():
     proc = run_cli("verify", "ci", "--max-n", "0", "--json")
     assert proc.returncode == 0
@@ -223,8 +212,10 @@ def test_verify_negative_range_exit_2():
 def test_verify_requires_selection():
     proc = run_cli("verify")
     assert proc.returncode == 2
-    proc = run_cli("verify", "nosuch")
-    assert proc.returncode == 2
+    for name in ("nosuch", "lemma", "qq"):
+        proc = run_cli("verify", name)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and name in proc.stderr
 
 
 def test_json_outputs_are_decimal_strings():
@@ -238,9 +229,11 @@ def test_json_outputs_are_decimal_strings():
 def test_json_round_trip_recomputes():
     proc = run_cli("qdepth", "shift(ci(3; 2,2), -1)", "--json")
     data = json.loads(proc.stdout)
-    from hilbertdepth import HilbertFunction, qdepth
+    from hilbertdepth import HilbertFunction, LaurentPolynomial, qdepth
 
-    h = HilbertFunction.from_json_dict(data["function"])
+    function = data["function"]
+    numerator = {int(e): int(c) for e, c in function["numerator"].items()}
+    h = HilbertFunction(LaurentPolynomial(numerator), function["denomPower"])
     result = qdepth(h)
     assert str(result.qdepth) == data["qdepth"]
     assert [str(v) for v in result.certificate.values] == data["certificate"]["values"]

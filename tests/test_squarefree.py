@@ -241,9 +241,9 @@ def test_qdepth_from_alpha_rejects_zero_vector():
 def test_check_qdepth_match_counts_alpha_once(monkeypatch):
     calls = []
 
-    def counted(q, max_vars=None):
+    def counted(q):
         calls.append(q)
-        return alpha_vector(q, max_vars)
+        return alpha_vector(q)
 
     monkeypatch.setattr(squarefree, "alpha_vector", counted)
     assert check_qdepth_match(random_quotient(6, 4, 3, 2))
@@ -373,3 +373,8 @@ def test_parse_and_format():
         parse_ideal("y2", 3)
     with pytest.raises(ParseError):
         parse_ideal("x1,,x2", 3)
+    # a position names the variable itself, past any space after a '*'
+    for text, position in (("x1 * y2", 5), ("x1 *  x1", 6), ("x2, x1 *x4", 8)):
+        with pytest.raises(ParseError) as err:
+            parse_ideal(text, 3)
+        assert err.value.position == position, text

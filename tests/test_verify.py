@@ -1,5 +1,6 @@
 """Battery behavior: determinism, coverage, and targeted law checks."""
 
+import inspect
 import random
 
 import pytest
@@ -36,9 +37,11 @@ def test_explicit_zero_is_not_the_default():
     assert run_battery("ci").cases_run == 125
     assert run_battery("ci", max_n=0).cases_run == 0
     assert run_battery("polyring", max_n=0).cases_run == 0
-    for name in ("free", "quotients"):
+    for name in ("ci-recursion", "free", "quotients"):
         assert run_battery(name, max_n=0).cases_run == 0
         assert run_battery(name, trials=0).cases_run == 0
+    assert run_battery("ci-recursion", max_n=1).cases_run == 0
+    assert run_battery("ci-recursion", max_degree=2).cases_run == 0
     for name in BATTERIES:
         assert run_battery(name, max_n=0, max_degree=0, trials=0).passed
 
@@ -57,17 +60,17 @@ def test_registry_defaults_give_the_all_order_and_counts():
     assert counts == [16, 125, 100, 35, 100, 150, 250, 150, 325, 350, 238]
 
 
-def test_aliases_run_their_battery():
-    assert run_battery("lemma").to_json_dict() == run_battery("signs").to_json_dict()
-    assert (
-        run_battery("qq", trials=20, seed=3).to_json_dict()
-        == run_battery("quotients", trials=20, seed=3).to_json_dict()
-    )
+def test_batteries_table_is_the_one_source_of_parameters():
+    for name, (battery, defaults) in BATTERIES.items():
+        params = inspect.signature(battery).parameters.values()
+        assert [p.name for p in params] == list(defaults), name
+        assert all(p.default is inspect.Parameter.empty for p in params), name
 
 
 def test_unknown_battery_raises():
-    with pytest.raises(ValueError, match="nosuch"):
-        run_battery("nosuch")
+    for name in ("nosuch", "lemma"):
+        with pytest.raises(ValueError, match=name):
+            run_battery(name)
 
 
 def test_reports_are_deterministic():
@@ -158,8 +161,7 @@ def test_random_pool_is_reproducible():
 def ci_recursion_reference(trials, seed, max_n=6, max_degree=6):
     violations = []
     rng = random.Random(seed)
-    max_n = max(max_n, 2)
-    max_degree = max(max_degree, 3)
+    trials = trials if max_n >= 2 and max_degree >= 3 else 0
     for case in range(trials):
         n = rng.randint(2, max_n)
         degrees = [rng.randint(2, max_degree) for _ in range(n - 1)]
