@@ -37,7 +37,6 @@ from .hypergeometric import CoeffTable, big_e, coeff_table, gauss_2f1
 from .report import VerificationReport, Violation
 from .series import (
     HilbertFunction,
-    LaurentPolynomial,
     complete_intersection,
     extend,
     free_module,
@@ -71,7 +70,6 @@ __all__ = [
     "InvalidArityError",
     "InvalidDegreeError",
     "InvalidQuotientError",
-    "LaurentPolynomial",
     "NegativeValueError",
     "OutOfRangeError",
     "ParseError",

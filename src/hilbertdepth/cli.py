@@ -158,6 +158,10 @@ def cmd_hyp(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.all and args.batteries:
+        print(f"error: --all takes no battery names, got {args.batteries}",
+              file=sys.stderr)
+        return 2
     names = list(BATTERIES) if args.all else args.batteries
     if not names:
         print("error: no batteries selected (name some or pass --all)", file=sys.stderr)
@@ -165,6 +169,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     unknown = [b for b in names if b not in BATTERIES]
     if unknown:
         print(f"error: unknown batteries {unknown}", file=sys.stderr)
+        return 2
+    repeated = sorted({b for b in names if names.count(b) > 1})
+    if repeated:
+        print(f"error: batteries named more than once {repeated}", file=sys.stderr)
         return 2
     reports = [
         run_battery(name, args.max_n, args.max_degree, args.trials, args.seed)

@@ -1,7 +1,8 @@
 """Hilbert functions as integer numerators over powers of (1 - t).
 
-A HilbertFunction stores h(k) = [t^k] numerator / (1 - t)^p in canonical
-form: while p > 0 the numerator is not divisible by (1 - t), and the lowest
+A HilbertFunction stores h(k) = [t^k] numerator / (1 - t)^p, the numerator
+a read-only map from exponents to nonzero integers, in canonical form:
+while p > 0 the numerator is not divisible by (1 - t), and the lowest
 numerator coefficient is strictly positive (it equals h at the first nonzero
 degree).  Every construction used here - finite tables, polynomial rings,
 free modules with shifts, complete intersections - produces such a form, and
@@ -25,7 +26,8 @@ from collections import Counter
 from itertools import accumulate
 from math import comb
 from operator import sub
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import (
     BudgetExceededError,
@@ -46,127 +48,57 @@ MAX_CI_TERMS = 1 << 20
 MAX_CI_WORK = 1 << 21
 
 
-class LaurentPolynomial:
-    """Finitely supported integer polynomial with integer exponents.
-
-    Stored as a sparse exponent -> coefficient map holding nonzero entries
-    only; the empty map is the zero polynomial.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self._coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
-
-    @classmethod
-    def one(cls) -> LaurentPolynomial:
-        return cls({0: 1})
-
-    def coeff(self, e: int) -> int:
-        return self._coeffs.get(e, 0)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._coeffs.items())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    @property
-    def min_exp(self) -> int:
-        return min(self._coeffs)
-
-    @property
-    def max_exp(self) -> int:
-        return max(self._coeffs)
-
-    def sum_of_coeffs(self) -> int:
-        """Value at t = 1; zero exactly when (1 - t) divides the polynomial."""
-        return sum(self._coeffs.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __add__(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
-
-    def scaled(self, r: int) -> LaurentPolynomial:
-        return LaurentPolynomial({e: r * c for e, c in self._coeffs.items()})
-
-    def shifted(self, delta: int) -> LaurentPolynomial:
-        """Multiply by t^delta."""
-        return LaurentPolynomial({e + delta: c for e, c in self._coeffs.items()})
-
-    def times_one_minus_t(self) -> LaurentPolynomial:
-        out = dict(self._coeffs)
-        for e, c in self._coeffs.items():
-            out[e + 1] = out.get(e + 1, 0) - c
-        return LaurentPolynomial(out)
-
-    def divided_by_one_minus_t(self) -> LaurentPolynomial:
-        """Exact quotient by (1 - t); the quotient coefficients are the
-        prefix sums of this polynomial's coefficients."""
-        if self.is_zero:
-            return LaurentPolynomial()
-        if self.sum_of_coeffs() != 0:
-            raise ValueError("polynomial is not divisible by (1 - t)")
-        lo, hi = self.min_exp, self.max_exp
-        out: dict[int, int] = {}
-        running = 0
-        for e in range(lo, hi):
-            running += self._coeffs.get(e, 0)
-            if running:
-                out[e] = running
-        return LaurentPolynomial(out)
-
-    def __repr__(self) -> str:
-        return f"LaurentPolynomial({dict(sorted(self._coeffs.items()))!r})"
+def _times_one_minus_t(num: Mapping[int, int]) -> dict[int, int]:
+    out = dict(num)
+    for e, c in num.items():
+        out[e + 1] = out.get(e + 1, 0) - c
+    return out
 
 
 class HilbertFunction:
     """h(k) = [t^k] numerator / (1 - t)^denom_power, kept canonical.
 
-    Instances are immutable; every operation returns a fresh value, so they
-    are safe to share across threads.
+    The constructor takes any degree -> integer mapping and keeps its
+    nonzero entries, divided by (1 - t) while that is exact, as the
+    read-only mapping ``numerator``.  Instances are immutable; every
+    operation returns a fresh value, so they are safe to share across
+    threads.
     """
 
     __slots__ = ("numerator", "denom_power")
 
-    def __init__(self, numerator: LaurentPolynomial, denom_power: int):
+    def __init__(self, numerator: Mapping[int, int], denom_power: int):
         if denom_power < 0:
             raise ValueError("denominator power must be nonnegative")
-        if numerator.is_zero:
+        num = {e: c for e, c in numerator.items() if c != 0}
+        if not num:
             raise EmptyFunctionError("the zero function has no Hilbert function form")
-        num, p = numerator, denom_power
-        while p > 0 and num.sum_of_coeffs() == 0:
-            num = num.divided_by_one_minus_t()
+        p = denom_power
+        while p > 0 and sum(num.values()) == 0:
+            # exact quotient by (1 - t): the prefix sums of the coefficients
+            exps = range(min(num), max(num))
+            sums = accumulate(num.get(e, 0) for e in exps)
+            num = {e: c for e, c in zip(exps, sums) if c != 0}
             p -= 1
-        if num.coeff(num.min_exp) < 0:
+        k0 = min(num)
+        if num[k0] < 0:
             raise NegativeValueError(
-                f"value at first nonzero degree {num.min_exp} is negative"
+                f"value at first nonzero degree {k0} is negative"
             )
-        self.numerator = num
+        self.numerator = MappingProxyType(num)
         self.denom_power = p
 
     @property
     def k0(self) -> int:
         """First degree with a nonzero value."""
-        return self.numerator.min_exp
+        return min(self.numerator)
 
     @property
     def kf(self) -> int | None:
         """Last degree with a nonzero value, or None for infinite support."""
         if self.denom_power > 0:
             return None
-        return self.numerator.max_exp
+        return max(self.numerator)
 
     def evaluate(self, k: int) -> int:
         """Exact value h(k); always a nonnegative integer."""
@@ -186,7 +118,7 @@ class HilbertFunction:
         with e <= k.  The one place of the closed form and the sign check."""
         p = self.denom_power
         if p == 0:
-            value = self.numerator.coeff(k)
+            value = self.numerator.get(k, 0)
         else:
             value = sum(c * comb(k - e + p - 1, p - 1) for e, c in terms if e <= k)
         if value < 0:
@@ -199,10 +131,13 @@ class HilbertFunction:
         p = max(self.denom_power, other.denom_power)
         num1, num2 = self.numerator, other.numerator
         for _ in range(p - self.denom_power):
-            num1 = num1.times_one_minus_t()
+            num1 = _times_one_minus_t(num1)
         for _ in range(p - other.denom_power):
-            num2 = num2.times_one_minus_t()
-        return HilbertFunction(num1 + num2, p)
+            num2 = _times_one_minus_t(num2)
+        total = dict(num1)
+        for e, c in num2.items():
+            total[e] = total.get(e, 0) + c
+        return HilbertFunction(total, p)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HilbertFunction):
@@ -213,7 +148,7 @@ class HilbertFunction:
         )
 
     def __hash__(self) -> int:
-        return hash((self.numerator, self.denom_power))
+        return hash((frozenset(self.numerator.items()), self.denom_power))
 
     def __repr__(self) -> str:
         coeffs = dict(sorted(self.numerator.items()))
@@ -235,17 +170,16 @@ def from_table(values: Mapping[int, int]) -> HilbertFunction:
     for k, v in values.items():
         if v < 0:
             raise NegativeValueError(f"table value at degree {k} is {v}")
-    num = LaurentPolynomial(values)
-    if num.is_zero:
+    if not any(values.values()):
         raise EmptyFunctionError("table has no positive value")
-    return HilbertFunction(num, 0)
+    return HilbertFunction(values, 0)
 
 
 def polynomial_ring(n: int) -> HilbertFunction:
     """h(k) = C(n - 1 + k, k) for k >= 0: the standard n-variable ring."""
     if n < 1:
         raise InvalidArityError(f"need at least one variable, got {n}")
-    return HilbertFunction(LaurentPolynomial.one(), n)
+    return HilbertFunction({0: 1}, n)
 
 
 def free_module(n: int, shifts: Iterable[int]) -> HilbertFunction:
@@ -256,8 +190,7 @@ def free_module(n: int, shifts: Iterable[int]) -> HilbertFunction:
         raise InvalidArityError(f"need at least one variable, got {n}")
     if not shift_list:
         raise InvalidArityError("need at least one summand shift")
-    num = LaurentPolynomial(Counter(-a for a in shift_list))
-    return HilbertFunction(num, n)
+    return HilbertFunction(Counter(-a for a in shift_list), n)
 
 
 def complete_intersection(n: int, degrees: Iterable[int]) -> HilbertFunction:
@@ -296,20 +229,19 @@ def complete_intersection(n: int, degrees: Iterable[int]) -> HilbertFunction:
         if d > 1:
             pre = list(accumulate(coeffs + [0] * (d - 1)))
             coeffs = [*pre[:d], *map(sub, pre[d:], pre)]
-    num = LaurentPolynomial(dict(enumerate(coeffs)))
-    return HilbertFunction(num, n - len(degree_list))
+    return HilbertFunction(dict(enumerate(coeffs)), n - len(degree_list))
 
 
 def scale(h: HilbertFunction, r: int) -> HilbertFunction:
     """All values multiplied by a positive integer r."""
     if r < 1:
         raise InvalidArityError(f"scale factor must be positive, got {r}")
-    return HilbertFunction(h.numerator.scaled(r), h.denom_power)
+    return HilbertFunction({e: r * c for e, c in h.numerator.items()}, h.denom_power)
 
 
 def shift(h: HilbertFunction, m: int) -> HilbertFunction:
     """Regrade so the result at k equals h(k + m)."""
-    return HilbertFunction(h.numerator.shifted(-m), h.denom_power)
+    return HilbertFunction({e - m: c for e, c in h.numerator.items()}, h.denom_power)
 
 
 def extend(h: HilbertFunction) -> HilbertFunction:

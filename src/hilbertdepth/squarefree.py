@@ -37,6 +37,7 @@ from .errors import (
     EmptyFunctionError,
     GenerationFailedError,
     InvalidQuotientError,
+    OutOfRangeError,
     ParseError,
     TooManyVariablesError,
 )
@@ -127,6 +128,8 @@ class SquarefreeQuotient(
 
 
 def _resolve_cap(n: int, max_vars: int | None) -> None:
+    if max_vars is not None and max_vars < 0:
+        raise OutOfRangeError(f"max_vars must be nonnegative, got {max_vars}")
     cap = DEFAULT_VARIABLE_CAP if max_vars is None else min(max_vars, HARD_VARIABLE_CAP)
     if n > cap:
         raise TooManyVariablesError(

@@ -218,6 +218,17 @@ def test_verify_requires_selection():
         assert len(proc.stderr.splitlines()) == 1 and name in proc.stderr
 
 
+def test_verify_rejects_names_with_all():
+    assert_one_line_exit_2(run_cli("verify", "--all", "nosuch"), "got ['nosuch']")
+    assert_one_line_exit_2(run_cli("verify", "signs", "--all"), "got ['signs']")
+
+
+def test_verify_rejects_a_repeated_name():
+    for argv in (("signs", "signs"), ("signs", "free", "signs")):
+        proc = run_cli("verify", *argv, "--max-n", "2")
+        assert_one_line_exit_2(proc, "named more than once ['signs']")
+
+
 def test_json_outputs_are_decimal_strings():
     proc = run_cli("qdepth", "poly(3)", "--json")
     data = json.loads(proc.stdout)
@@ -229,11 +240,11 @@ def test_json_outputs_are_decimal_strings():
 def test_json_round_trip_recomputes():
     proc = run_cli("qdepth", "shift(ci(3; 2,2), -1)", "--json")
     data = json.loads(proc.stdout)
-    from hilbertdepth import HilbertFunction, LaurentPolynomial, qdepth
+    from hilbertdepth import HilbertFunction, qdepth
 
     function = data["function"]
     numerator = {int(e): int(c) for e, c in function["numerator"].items()}
-    h = HilbertFunction(LaurentPolynomial(numerator), function["denomPower"])
+    h = HilbertFunction(numerator, function["denomPower"])
     result = qdepth(h)
     assert str(result.qdepth) == data["qdepth"]
     assert [str(v) for v in result.certificate.values] == data["certificate"]["values"]
@@ -378,6 +389,11 @@ def test_sqf_max_vars_flag():
     assert proc.returncode == 2  # above the default cap
     proc = run_cli("sqf", "21", "x1", "0", "--max-vars", "22")
     assert proc.returncode == 0
+    proc = run_cli("sqf", "2", "x1", "0", "--max-vars", "-3")
+    assert_one_line_exit_2(proc, "max_vars must be nonnegative, got -3")
+    # a cap of 0 still admits n = 0
+    proc = run_cli("sqf", "0", "1", "--max-vars", "0")
+    assert proc.returncode == 0 and "alpha: [1]" in proc.stdout
 
 
 def test_sqf_negative_variable_count_exit_2():

@@ -12,10 +12,10 @@ PUBLIC_NAMES = [
     "BetaTable", "BudgetExceededError", "CoeffTable", "ElaborationError",
     "EmptyFunctionError", "FunctionSpec", "GenerationFailedError",
     "HilbertDepthError", "HilbertFunction", "InvalidArityError",
-    "InvalidDegreeError", "InvalidQuotientError", "LaurentPolynomial",
-    "NegativeValueError", "OutOfRangeError", "ParseError", "QDepthResult",
-    "SquarefreeIdeal", "SquarefreeQuotient", "TooManyFormsError",
-    "TooManyVariablesError", "VerificationReport", "Violation",
+    "InvalidDegreeError", "InvalidQuotientError", "NegativeValueError",
+    "OutOfRangeError", "ParseError", "QDepthResult", "SquarefreeIdeal",
+    "SquarefreeQuotient", "TooManyFormsError", "TooManyVariablesError",
+    "VerificationReport", "Violation",
     "alpha_vector", "beta", "beta_table", "big_e", "bounds",
     "check_qdepth_match", "coeff_table", "complete_intersection", "elaborate",
     "extend", "free_module", "from_table", "gauss_2f1", "parse_function",

@@ -19,6 +19,7 @@ from hilbertdepth import (
     EmptyFunctionError,
     GenerationFailedError,
     InvalidQuotientError,
+    OutOfRangeError,
     ParseError,
     SquarefreeIdeal,
     SquarefreeQuotient,
@@ -341,6 +342,11 @@ def test_variable_cap():
             SquarefreeQuotient(29, parse_ideal("x1", 29), parse_ideal("0", 29)),
             max_vars=29,
         )
+    small = SquarefreeQuotient(2, parse_ideal("x1", 2), parse_ideal("0", 2))
+    with pytest.raises(OutOfRangeError, match="max_vars"):
+        alpha_vector(small, max_vars=-3)
+    ring = SquarefreeQuotient(0, parse_ideal("1", 0), parse_ideal("0", 0))
+    assert alpha_vector(ring, max_vars=0) == [1]
 
 
 def test_huge_variable_count_reaches_the_cap_check():
