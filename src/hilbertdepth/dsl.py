@@ -6,12 +6,12 @@ Grammar (ASCII, whitespace-insensitive):
            | "ci(" INT ";" ints? ")" | "shift(" expr "," INT ")"
            | "sum(" expr ("," expr)+ ")" | "scale(" expr "," INT ")"
            | "extend(" expr ")"
-    pairs := INT ":" INT ("," INT ":" INT)*
+    pairs := INT ":" INT ("," INT ":" INT)*      (each degree at most once)
     ints  := INT ("," INT)*
 
 Parsing checks syntax, arity and nesting depth (at most MAX_NESTING
 constructor levels); elaboration runs the constructors and wraps any
-precondition failure in ElaborationError.
+precondition failure in ElaborationError named after the failing node.
 """
 
 from __future__ import annotations
@@ -35,12 +35,41 @@ from .series import (
     shift,
 )
 
-CONSTRUCTORS = ("table", "poly", "free", "ci", "shift", "sum", "scale", "extend")
-
 # Deepest constructor nesting the parser accepts.  Parsing and elaboration
 # recurse once per level, so the limit keeps both well inside Python's
 # recursion limit and turns deeper input into a ParseError.
 MAX_NESTING = 200
+
+
+def _from_pairs(*pairs: tuple[int, int]) -> HilbertFunction:
+    table: dict[int, int] = {}
+    for degree, value in pairs:
+        if degree in table:
+            raise ElaborationError(f"degree {degree} appears more than once")
+        table[degree] = value
+    return from_table(table)
+
+
+# name -> (argument items, builder).  An item "int", "pair" or "expr" reads
+# one argument and "," or ";" one token; a trailing "+" reads one or more
+# comma-separated arguments, "*" zero or more.  The builder takes the
+# arguments flat, nested expressions elaborated.  Builders call the series
+# constructors through this module's globals, so rebinding a name here (as a
+# tracer does) reaches every call.
+CONSTRUCTORS = {
+    "table": (("pair+",), _from_pairs),
+    "poly": (("int",), lambda n: polynomial_ring(n)),
+    "free": (("int", ";", "int+"), lambda n, *shifts: free_module(n, shifts)),
+    "ci": (("int", ";", "int*"), lambda n, *degrees: complete_intersection(n, degrees)),
+    "shift": (("expr", ",", "int"), lambda h, k: shift(h, k)),
+    "sum": (("expr", ",", "expr+"), lambda first, *rest: sum(rest, first)),
+    "scale": (("expr", ",", "int"), lambda h, c: scale(h, c)),
+    "extend": (("expr",), lambda h: extend(h)),
+}
+
+# The token kind that starts each argument item; a "*" item whose next token
+# is of another kind reads nothing.
+_STARTS = {"int": "int", "pair": "int", "expr": "name"}
 
 
 class FunctionSpec(NamedTuple):
@@ -104,9 +133,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def take_int(self) -> int:
-        return self.take("int")[1]
-
     def parse(self) -> FunctionSpec:
         spec = self.expr()
         tail = self.peek()
@@ -119,57 +145,32 @@ class _Parser:
         if depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2], ())
         if tok[0] != "name" or tok[1] not in CONSTRUCTORS:
-            raise ParseError(f"unknown constructor {tok[1]!r}", tok[2], CONSTRUCTORS)
+            raise ParseError(
+                f"unknown constructor {tok[1]!r}", tok[2], tuple(CONSTRUCTORS)
+            )
         self.pos += 1
-        name = tok[1]
         self.take("(")
-        if name == "table":
-            pairs = [self.pair()]
-            while self.peek()[0] == ",":
-                self.take(",")
-                pairs.append(self.pair())
-            self.take(")")
-            return FunctionSpec("table", tuple(pairs))
-        if name == "poly":
-            n = self.take_int()
-            self.take(")")
-            return FunctionSpec("poly", (n,))
-        if name in ("free", "ci"):
-            n = self.take_int()
-            self.take(";")
-            values: list[int] = []
-            if name == "free" or self.peek()[0] == "int":
-                values.append(self.take_int())
-                while self.peek()[0] == ",":
+        args: list = []
+        for item in CONSTRUCTORS[tok[1]][0]:
+            kind = item.rstrip("+*")
+            if kind in (",", ";"):
+                self.take(kind)
+            elif item[-1] != "*" or self.peek()[0] == _STARTS[kind]:
+                args.append(self.item(kind, depth))
+                while item[-1] in "+*" and self.peek()[0] == ",":
                     self.take(",")
-                    values.append(self.take_int())
-            self.take(")")
-            return FunctionSpec(name, (n, tuple(values)))
-        if name in ("shift", "scale"):
-            inner = self.expr(depth + 1)
-            self.take(",")
-            amount = self.take_int()
-            self.take(")")
-            return FunctionSpec(name, (inner, amount))
-        if name == "sum":
-            parts = [self.expr(depth + 1)]
-            self.take(",")
-            parts.append(self.expr(depth + 1))
-            while self.peek()[0] == ",":
-                self.take(",")
-                parts.append(self.expr(depth + 1))
-            self.take(")")
-            return FunctionSpec("sum", tuple(parts))
-        # extend
-        inner = self.expr(depth + 1)
+                    args.append(self.item(kind, depth))
         self.take(")")
-        return FunctionSpec("extend", (inner,))
+        return FunctionSpec(tok[1], tuple(args))
 
-    def pair(self) -> tuple[int, int]:
-        degree = self.take_int()
-        self.take(":")
-        value = self.take_int()
-        return degree, value
+    def item(self, kind: str, depth: int):
+        if kind == "expr":
+            return self.expr(depth + 1)
+        value = self.take("int")[1]
+        if kind == "pair":
+            self.take(":")
+            return value, self.take("int")[1]
+        return value
 
 
 def parse_spec(text: str) -> FunctionSpec:
@@ -179,39 +180,19 @@ def parse_spec(text: str) -> FunctionSpec:
 
 
 def elaborate(spec: FunctionSpec) -> HilbertFunction:
-    """Run the constructors over a parsed tree."""
-    try:
-        return _elaborate(spec)
-    except ElaborationError:
-        raise
-    except HilbertDepthError as exc:
-        raise ElaborationError(f"{spec.op}: {exc}") from exc
+    """Run the constructors over a parsed tree; a failed precondition is an
+    ElaborationError prefixed with the op of the node that failed."""
+    return _elaborate(spec)  # the recursion stays private: one call per tree
 
 
 def _elaborate(spec: FunctionSpec) -> HilbertFunction:
-    if spec.op == "table":
-        table: dict[int, int] = {}
-        for degree, value in spec.args:
-            table[degree] = table.get(degree, 0) + value
-        return from_table(table)
-    if spec.op == "poly":
-        return polynomial_ring(spec.args[0])
-    if spec.op == "free":
-        return free_module(spec.args[0], spec.args[1])
-    if spec.op == "ci":
-        return complete_intersection(spec.args[0], spec.args[1])
-    if spec.op == "shift":
-        return shift(_elaborate(spec.args[0]), spec.args[1])
-    if spec.op == "scale":
-        return scale(_elaborate(spec.args[0]), spec.args[1])
-    if spec.op == "sum":
-        total = _elaborate(spec.args[0])
-        for part in spec.args[1:]:
-            total = total + _elaborate(part)
-        return total
-    if spec.op == "extend":
-        return extend(_elaborate(spec.args[0]))
-    raise ElaborationError(f"unknown constructor {spec.op!r}")
+    if spec.op not in CONSTRUCTORS:
+        raise ElaborationError(f"unknown constructor {spec.op!r}")
+    args = [_elaborate(a) if isinstance(a, FunctionSpec) else a for a in spec.args]
+    try:
+        return CONSTRUCTORS[spec.op][1](*args)
+    except HilbertDepthError as exc:
+        raise ElaborationError(f"{spec.op}: {exc}") from exc
 
 
 def parse_function(text: str) -> HilbertFunction:

@@ -79,6 +79,21 @@ def test_elaboration_error_exit_2():
     assert proc.returncode == 2
 
 
+def test_elaboration_error_names_the_failing_constructor():
+    assert_one_line_exit_2(
+        run_cli("qdepth", "shift(scale(poly(2), 0), 1)"),
+        "error: scale: scale factor must be positive, got 0",
+    )
+    assert_one_line_exit_2(
+        run_cli("qdepth", "sum(poly(1), poly(0))"),
+        "error: poly: need at least one variable, got 0",
+    )
+    assert_one_line_exit_2(
+        run_cli("qdepth", "table(0:2,0:-1)"),
+        "error: table: degree 0 appears more than once",
+    )
+
+
 def test_ci_term_cap_exit_2():
     proc = run_cli("qdepth", "ci(2; 1000000000000000)")
     assert proc.returncode == 2

@@ -15,6 +15,7 @@ from hilbertdepth import (
     scale,
     shift,
 )
+from hilbertdepth import dsl
 from hilbertdepth.dsl import MAX_NESTING
 
 
@@ -24,6 +25,7 @@ def test_constructor_round_trips():
     assert parse_function("free(2; 0, 0, -1)") == free_module(2, [0, 0, -1])
     assert parse_function("ci(3; 2,2)") == complete_intersection(3, [2, 2])
     assert parse_function("ci(4;)") == polynomial_ring(4)
+    assert parse_function("ci(3; )") == polynomial_ring(3)
     assert parse_function("shift(ci(3; 2,2), -1)") == shift(
         complete_intersection(3, [2, 2]), -1
     )
@@ -51,22 +53,11 @@ def test_negative_table_keys():
 
 
 def test_parse_errors_carry_positions():
-    with pytest.raises(ParseError) as info:
-        parse_spec("poly(3")
-    assert info.value.position == 6
-    with pytest.raises(ParseError) as info:
-        parse_spec("nope(3)")
-    assert "table" in info.value.expected
-    with pytest.raises(ParseError):
-        parse_spec("poly(3) poly(2)")
-    with pytest.raises(ParseError):
-        parse_spec("sum(poly(1))")  # sum needs at least two parts
-    with pytest.raises(ParseError):
-        parse_spec("table()")
-    with pytest.raises(ParseError):
-        parse_spec("poly(x)")
-    with pytest.raises(ParseError):
-        parse_spec("")
+    # per-constructor messages are pinned in test_parse_error_messages
+    for text, position in (("poly(3) poly(2)", 8), ("poly(x)", 5), ("", 0)):
+        with pytest.raises(ParseError) as info:
+            parse_spec(text)
+        assert info.value.position == position
 
 
 def test_elaboration_errors():
@@ -80,6 +71,64 @@ def test_elaboration_errors():
         parse_function("table(0:-1)")
     with pytest.raises(ElaborationError):
         parse_function("scale(poly(2), 0)")
+    # summing a repeated degree would let a negative literal past the sign check
+    for text in ("table(0:2,0:-1)", "table(0:1,0:1)", "table(0:1,1:1,0:1)"):
+        with pytest.raises(ElaborationError, match="^table: degree 0 appears more"):
+            parse_function(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("poly(3", "unexpected 'end' at position 6 (expected ))"),
+        ("table()", "unexpected ')' at position 6 (expected int)"),
+        ("table(0 1)", "unexpected 'int' at position 8 (expected :)"),
+        ("ci(3;2,)", "unexpected ')' at position 7 (expected int)"),
+        ("free(2;)", "unexpected ')' at position 7 (expected int)"),
+        ("sum(poly(1))", "unexpected ')' at position 11 (expected ,)"),
+        (
+            "sum(poly(1),)",
+            "unknown constructor ')' at position 12 (expected table or poly or free"
+            " or ci or shift or sum or scale or extend)",
+        ),
+        ("scale(poly(2) 3)", "unexpected 'int' at position 14 (expected ,)"),
+        (
+            "nope(3)",
+            "unknown constructor 'nope' at position 0 (expected table or poly or free"
+            " or ci or shift or sum or scale or extend)",
+        ),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_spec(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("polynomial_ring", "poly(2)"),
+        ("free_module", "free(2; 0, -1)"),
+        ("complete_intersection", "ci(3; 2)"),
+        ("from_table", "table(0:1, 1:2)"),
+        ("shift", "shift(poly(2), 1)"),
+        ("scale", "scale(poly(2), 3)"),
+        ("extend", "extend(poly(2))"),
+    ],
+)
+def test_builders_call_the_module_bindings(monkeypatch, name, text):
+    # a tracer wraps these names in dsl; the constructor table must see it
+    original = getattr(dsl, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dsl, name, counting)
+    parse_function(text)
+    assert len(calls) == 1
 
 
 def test_spec_tree_shape():

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import hilbertdepth
+from hilbertdepth import dsl
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +35,16 @@ def test_readme_quick_start_runs():
     section = text.split("## Library quick start", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def grammar_constructors(block):
+    return sorted(set(re.findall(r"\b([a-z]+)\(", block)))
+
+
+def test_grammars_name_exactly_the_constructors():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("follow a small grammar", 1)[1]
+    readme_block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    doc_block = dsl.__doc__.split("Grammar", 1)[1].split("\n\n", 2)[1]
+    assert grammar_constructors(readme_block) == sorted(dsl.CONSTRUCTORS)
+    assert grammar_constructors(doc_block) == sorted(dsl.CONSTRUCTORS)
