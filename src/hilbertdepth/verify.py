@@ -7,6 +7,13 @@ the one table of batteries: it holds each one's name, parameters and
 default ranges, and ``run_battery`` builds the report from it, with the
 table key as the report's name and the time of the call as its elapsed
 time.
+
+Each kind of law is checked in one place.  ``_depth_law`` runs ``qdepth``
+on a stream of (descriptor, h, expected depth) cases, which ``polyring``,
+``ci`` and ``free`` generate.  The random-function batteries (``extension``
+and ``structural``) report each failed law through ``_reporter``, whose
+descriptor starts with the case number and h as JSON, built only on a
+failure.
 """
 
 from __future__ import annotations
@@ -43,10 +50,17 @@ def _describe(h: HilbertFunction) -> str:
     return json.dumps(h.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _case(case: int, h: HilbertFunction) -> str:
-    """Replayable prefix of a random-function violation; built only when a
-    violation is reported."""
-    return f"case {case}: h={_describe(h)}"
+def _reporter(violations: list[Violation], case: int, h: HilbertFunction):
+    """The reporter of one random-function case: ``fail(law, expected,
+    actual)`` appends a violation whose descriptor is the replayable prefix
+    ``case {case}: h={json}`` and then the law.  The prefix is built only
+    when a law fails."""
+
+    def fail(law: str, expected, actual) -> None:
+        prefix = f"case {case}: h={_describe(h)}"
+        violations.append(Violation(f"{prefix} {law}", str(expected), str(actual)))
+
+    return fail
 
 
 def random_hilbert_function(rng: random.Random, depth: int = 2) -> HilbertFunction:
@@ -86,14 +100,24 @@ def _degree_multisets(r: int, dmax: int):
     return itertools.combinations_with_replacement(range(2, dmax + 1), r)
 
 
+def _depth_law(cases) -> tuple[int, list[Violation]]:
+    """qdepth(h) equals the expected depth on every (descriptor, h,
+    expected) case of the stream; returns the case count and one violation
+    per case whose depth differs."""
+    count = 0
+    violations = []
+    for count, (descriptor, h, expected) in enumerate(cases, 1):
+        actual = qdepth(h).qdepth
+        if actual != expected:
+            violations.append(Violation(descriptor, str(expected), str(actual)))
+    return count, violations
+
+
 def verify_polynomial_rings(max_n: int) -> tuple[int, list[Violation]]:
     """Depth of the n-variable ring is n, for every n up to max_n."""
-    violations = []
-    for n in range(1, max_n + 1):
-        result = qdepth(polynomial_ring(n))
-        if result.qdepth != n:
-            violations.append(Violation(f"poly({n})", str(n), str(result.qdepth)))
-    return max_n, violations
+    return _depth_law(
+        (f"poly({n})", polynomial_ring(n), n) for n in range(1, max_n + 1)
+    )
 
 
 def verify_complete_intersections(
@@ -101,20 +125,12 @@ def verify_complete_intersections(
 ) -> tuple[int, list[Violation]]:
     """Depth n for every complete intersection with 0 <= r <= n forms of
     degrees in [2, max_degree], enumerated as multisets."""
-    violations = []
-    cases = 0
-    for n in range(1, max_n + 1):
-        for r in range(n + 1):
-            for degrees in _degree_multisets(r, max_degree):
-                cases += 1
-                result = qdepth(complete_intersection(n, degrees))
-                if result.qdepth != n:
-                    violations.append(
-                        Violation(
-                            f"n={n} degrees={list(degrees)}", str(n), str(result.qdepth)
-                        )
-                    )
-    return cases, violations
+    return _depth_law(
+        (f"n={n} degrees={list(degrees)}", complete_intersection(n, degrees), n)
+        for n in range(1, max_n + 1)
+        for r in range(n + 1)
+        for degrees in _degree_multisets(r, max_degree)
+    )
 
 
 def verify_ci_recursion(
@@ -196,33 +212,28 @@ def verify_free_modules(
     """Graded free modules S(a)^n1 + S(a-1)^n2 + sum_j S(a_j) with n1 > n2
     and a >= a_j + 2 have depth n - a.  n is drawn from [1, max_n], so an
     empty range gives no cases."""
-    violations = []
     rng = random.Random(seed)
-    trials = trials if max_n >= 1 else 0
-    for case in range(trials):
-        n = rng.randint(1, max_n)
-        a = rng.randint(-4, 4)
-        n1 = rng.randint(1, 3)
-        n2 = rng.randint(0, n1 - 1)
-        tail = [a - 2 - rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
-        shifts = [a] * n1 + [a - 1] * n2 + tail
-        result = qdepth(free_module(n, shifts))
-        if result.qdepth != n - a:
-            violations.append(
-                Violation(
-                    f"case {case}: n={n} a={a} n1={n1} n2={n2} tail={tail}",
-                    str(n - a),
-                    str(result.qdepth),
-                )
-            )
-    return trials, violations
+
+    def cases():
+        for case in range(trials if max_n >= 1 else 0):
+            n = rng.randint(1, max_n)
+            a = rng.randint(-4, 4)
+            n1 = rng.randint(1, 3)
+            n2 = rng.randint(0, n1 - 1)
+            tail = [a - 2 - rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
+            shifts = [a] * n1 + [a - 1] * n2 + tail
+            descriptor = f"case {case}: n={n} a={a} n1={n1} n2={n2} tail={tail}"
+            yield descriptor, free_module(n, shifts), n - a
+
+    return _depth_law(cases())
 
 
-def _parity_violation(
-    case: int, h: HilbertFunction, evals: list[int], extended: HilbertFunction
-) -> Violation | None:
+def _parity_law(
+    h: HilbertFunction, evals: list[int], extended: HilbertFunction, fail
+) -> None:
     """Top entry of the extended function's beta row at d equals the sum of
-    h over degrees of the same parity as d, for d = k0..k0 + 10.
+    h over degrees of the same parity as d, for d = k0..k0 + 10; the first
+    d where it fails goes to the case's reporter ``fail``.
 
     The caller passes what it already has: h's values evals[j - k0] = h(j)
     from at least k0 to k0 + 10, and ``extended`` = extend(h), which it also
@@ -232,10 +243,8 @@ def _parity_violation(
     for d, row in beta_rows(extended.values(k0, k0 + 10), k0, k0 + 10):
         rhs = sum(evals[d - k0::-2])
         if row[-1] != rhs:
-            return Violation(
-                f"{_case(case, h)} parity d={d}", str(rhs), str(row[-1])
-            )
-    return None
+            fail(f"parity d={d}", rhs, row[-1])
+            return
 
 
 def verify_extension(trials: int, seed: int) -> tuple[int, list[Violation]]:
@@ -245,17 +254,13 @@ def verify_extension(trials: int, seed: int) -> tuple[int, list[Violation]]:
     rng = random.Random(seed)
     for case in range(trials):
         h = random_hilbert_function(rng)
+        fail = _reporter(violations, case, h)
         extended = extend(h)
         base = qdepth(h).qdepth
         lifted = qdepth(extended).qdepth
         if lifted < base:
-            violations.append(
-                Violation(f"{_case(case, h)} extension", f">= {base}", str(lifted))
-            )
-        evals = h.values(h.k0, h.k0 + 10)
-        parity = _parity_violation(case, h, evals, extended)
-        if parity is not None:
-            violations.append(parity)
+            fail("extension", f">= {base}", lifted)
+        _parity_law(h, h.values(h.k0, h.k0 + 10), extended, fail)
     return trials, violations
 
 
@@ -268,8 +273,8 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
     pass over it: every row d = k0..k0 + 12 must give back those values
     through ``reconstruct``'s closed form.  The parity check reuses the
     first 11 of those 13 values, and extend(h) is built once for both the
-    extension check and the parity check (see ``_parity_violation``).  The
-    case descriptor is built only for a violation."""
+    extension check and the parity check (see ``_parity_law``).  Every
+    failed law goes to the case's ``_reporter``."""
     violations = []
     rng = random.Random(seed)
     for case in range(trials):
@@ -277,89 +282,48 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
         other = random_hilbert_function(rng)
         m = rng.randint(-3, 3)
         r = rng.choice((2, 3, 7))
+        fail = _reporter(violations, case, h)
         result = qdepth(h)
         d0 = result.qdepth
         if not result.lower_bound <= d0 <= result.upper_bound:
-            violations.append(
-                Violation(
-                    f"{_case(case, h)} window",
-                    f"[{result.lower_bound}, {result.upper_bound}]",
-                    str(d0),
-                )
-            )
+            fail("window", f"[{result.lower_bound}, {result.upper_bound}]", d0)
         if any(v < 0 for v in result.certificate.values):
-            violations.append(
-                Violation(
-                    f"{_case(case, h)} certificate", ">= 0 entries", "negative entry"
-                )
-            )
+            fail("certificate", ">= 0 entries", "negative entry")
         if (result.refutation is None) != (d0 == result.upper_bound):
-            violations.append(
-                Violation(
-                    f"{_case(case, h)} refutation presence",
-                    "absent iff depth = upper bound",
-                    repr(result.refutation),
-                )
+            fail(
+                "refutation presence",
+                "absent iff depth = upper bound",
+                repr(result.refutation),
             )
         if result.refutation is not None:
             rd, rk, rb = result.refutation
             if rb >= 0 or beta(h, rd, rk) != rb:
-                violations.append(
-                    Violation(f"{_case(case, h)} refutation", "negative beta", str(rb))
-                )
+                fail("refutation", "negative beta", rb)
         if h.kf is not None and d0 > h.kf:
-            violations.append(
-                Violation(f"{_case(case, h)} support cap", f"<= {h.kf}", str(d0))
-            )
+            fail("support cap", f"<= {h.kf}", d0)
         shifted = qdepth(shift(h, m)).qdepth
         if shifted != d0 - m:
-            violations.append(
-                Violation(f"{_case(case, h)} shift m={m}", str(d0 - m), str(shifted))
-            )
+            fail(f"shift m={m}", d0 - m, shifted)
         scaled = qdepth(scale(h, r)).qdepth
         if scaled != d0:
-            violations.append(
-                Violation(f"{_case(case, h)} scale r={r}", str(d0), str(scaled))
-            )
+            fail(f"scale r={r}", d0, scaled)
         d_other = qdepth(other).qdepth
         d_sum = qdepth(h + other).qdepth
         if d_sum < min(d0, d_other):
-            violations.append(
-                Violation(
-                    f"{_case(case, h)} sum with {_describe(other)}",
-                    f">= {min(d0, d_other)}",
-                    str(d_sum),
-                )
-            )
+            fail(f"sum with {_describe(other)}", f">= {min(d0, d_other)}", d_sum)
         extended = extend(h)
         lifted = qdepth(extended).qdepth
         if lifted < d0:
-            violations.append(
-                Violation(f"{_case(case, h)} extension", f">= {d0}", str(lifted))
-            )
+            fail("extension", f">= {d0}", lifted)
         k0 = h.k0
         evals = h.values(k0, k0 + 12)
         for d, row in beta_rows(evals, k0, k0 + 12):
             table = BetaTable(d, k0, tuple(row))
-            bad = next(
-                (
-                    k
-                    for k in range(k0, d + 1)
-                    if reconstruct(table, k) != evals[k - k0]
-                ),
-                None,
-            )
-            if bad is not None:
-                violations.append(
-                    Violation(
-                        f"{_case(case, h)} inversion d={d} k={bad}",
-                        str(evals[bad - k0]),
-                        str(reconstruct(table, bad)),
-                    )
-                )
-        parity = _parity_violation(case, h, evals, extended)
-        if parity is not None:
-            violations.append(parity)
+            for k in range(k0, d + 1):
+                if reconstruct(table, k) != evals[k - k0]:
+                    fail(f"inversion d={d} k={k}", evals[k - k0], reconstruct(table, k))
+                    break
+        _parity_law(h, evals, extended, fail)
     return trials, violations
 
 
@@ -385,14 +349,9 @@ def verify_quotients(
             continue
         produced += 1
         if not check_qdepth_match(q):
-            violations.append(
-                Violation(
-                    f"n={n} seed={sub_seed} upper=({format_ideal(q.upper)}) "
-                    f"lower=({format_ideal(q.lower)})",
-                    "matching depths",
-                    "mismatch",
-                )
-            )
+            ideals = f"upper=({format_ideal(q.upper)}) lower=({format_ideal(q.lower)})"
+            descriptor = f"n={n} seed={sub_seed} {ideals}"
+            violations.append(Violation(descriptor, "matching depths", "mismatch"))
     return produced, violations
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -344,6 +345,25 @@ def test_verify_all_json_matches_pinned_digests():
         proc = run_cli("verify", "--all", "--json", flip=flip)
         assert proc.returncode == code, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+# SHA-256 of `verify --all` text stdout at the default seed, with each
+# summary line's elapsed column masked: the summary lines, every
+# `violation:` line and the total, clean and under the hook.
+VERIFY_ALL_TEXT_DIGESTS = {
+    False: (0, "1408ce7827caacdee923cc2d511b8838c3ccedf3344ddce338e715c287064d0e"),
+    True: (1, "468c8325a24246c9e08c8224488a34f6feed26ff994e0f04cae5780b00b603c6"),
+}
+ELAPSED_COLUMN = re.compile(r" +\d+\.\d\ds  (PASS|FAIL)$", re.M)
+
+
+def test_verify_all_text_matches_pinned_digests():
+    for flip, (code, digest) in VERIFY_ALL_TEXT_DIGESTS.items():
+        proc = run_cli("verify", "--all", flip=flip)
+        assert proc.returncode == code, proc.stderr
+        masked, lines = ELAPSED_COLUMN.subn(r" <elapsed>  \1", proc.stdout)
+        assert lines == 11
+        assert hashlib.sha256(masked.encode()).hexdigest() == digest
 
 
 def assert_one_line_exit_2(proc, fragment):

@@ -10,8 +10,10 @@ from hilbertdepth import (
     free_module,
     from_table,
     extend,
+    polynomial_ring,
     qdepth,
     shift,
+    verify,
 )
 from hilbertdepth.depth import FLIP_BETA_ENV, beta, beta_table, reconstruct
 from hilbertdepth.errors import OutOfRangeError
@@ -331,6 +333,52 @@ def ci_truncation_reference(max_n, max_degree):
     return VerificationReport("ci-truncation", cases, violations)
 
 
+def polyring_reference(max_n):
+    violations = []
+    for n in range(1, max_n + 1):
+        depth = qdepth(polynomial_ring(n)).qdepth
+        if depth != n:
+            violations.append(Violation(f"poly({n})", str(n), str(depth)))
+    return VerificationReport("polyring", max_n, violations)
+
+
+def ci_reference(max_n, max_degree):
+    violations = []
+    cases = 0
+    for n in range(1, max_n + 1):
+        for r in range(n + 1):
+            for degrees in _degree_multisets(r, max_degree):
+                cases += 1
+                depth = qdepth(complete_intersection(n, degrees)).qdepth
+                if depth != n:
+                    violations.append(
+                        Violation(f"n={n} degrees={list(degrees)}", str(n), str(depth))
+                    )
+    return VerificationReport("ci", cases, violations)
+
+
+def free_reference(trials, seed, max_n):
+    violations = []
+    rng = random.Random(seed)
+    trials = trials if max_n >= 1 else 0
+    for case in range(trials):
+        n = rng.randint(1, max_n)
+        a = rng.randint(-4, 4)
+        n1 = rng.randint(1, 3)
+        n2 = rng.randint(0, n1 - 1)
+        tail = [a - 2 - rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
+        depth = qdepth(free_module(n, [a] * n1 + [a - 1] * n2 + tail)).qdepth
+        if depth != n - a:
+            violations.append(
+                Violation(
+                    f"case {case}: n={n} a={a} n1={n1} n2={n2} tail={tail}",
+                    str(n - a),
+                    str(depth),
+                )
+            )
+    return VerificationReport("free", trials, violations)
+
+
 def _same_report(report, reference):
     return report.to_json_dict() == reference.to_json_dict()
 
@@ -356,3 +404,43 @@ def test_window_batteries_match_per_entry_reference(monkeypatch, flip):
     truncation = run_battery("ci-truncation", max_n=4, max_degree=4)
     assert _same_report(truncation, ci_truncation_reference(4, 4))
     assert truncation.passed
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["clean", "flipped"])
+def test_depth_law_batteries_match_per_case_reference(monkeypatch, flip):
+    if flip:
+        monkeypatch.setenv(FLIP_BETA_ENV, "1")
+    else:
+        monkeypatch.delenv(FLIP_BETA_ENV, raising=False)
+    for max_n in (0, 1, 3, 9):
+        report = run_battery("polyring", max_n=max_n)
+        assert _same_report(report, polyring_reference(max_n))
+    for max_n, max_degree in ((0, 4), (1, 2), (2, 6), (4, 3), (6, 2)):
+        report = run_battery("ci", max_n=max_n, max_degree=max_degree)
+        assert _same_report(report, ci_reference(max_n, max_degree))
+    for seed in (5, 31):
+        for trials, max_n in ((0, 6), (30, 0), (40, 1), (60, 3), (80, 9)):
+            report = run_battery("free", trials=trials, seed=seed, max_n=max_n)
+            assert _same_report(report, free_reference(trials, seed, max_n))
+        wide = run_battery("free", trials=80, seed=seed, max_n=9)
+        assert bool(wide.violations) == flip
+    assert bool(run_battery("polyring", max_n=9).violations) == flip
+    assert bool(run_battery("ci", max_n=4, max_degree=3).violations) == flip
+
+
+def test_clean_batteries_build_no_descriptor(monkeypatch):
+    # a random case's JSON descriptor is built only when one of its laws fails
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return _describe(h)
+
+    monkeypatch.delenv(FLIP_BETA_ENV, raising=False)
+    monkeypatch.setattr(verify, "_describe", counted)
+    for name in BATTERIES:
+        assert run_battery(name).passed
+    assert calls == []
+    monkeypatch.setenv(FLIP_BETA_ENV, "1")
+    assert not run_battery("structural", trials=5).passed
+    assert calls
