@@ -7,7 +7,9 @@ For a candidate depth d the transform
 inverts to h (see ``reconstruct``), and d is feasible when every entry with
 k0 <= k <= d is nonnegative.  The Hilbert depth is the largest feasible d;
 it always lies in the window [k0, k0 + floor(h1/h0)] where h0, h1 are the
-first two values of h.  Row d is the prefix sums of row d + 1,
+first two values of h.  ``bounds`` reads them off the numerator,
+h0 = c_k0 and h1 = c_(k0+1) + p c_k0, so ``qdepth`` reads h only over the
+window.  Row d is the prefix sums of row d + 1,
 
     beta(d, k) = sum_{j = k0..k} beta(d + 1, j)     (k0 <= k <= d),
 
@@ -27,11 +29,11 @@ so a scan costs O(q^2) big-integer subtractions, with q = qdepth - k0 + 2,
 and no binomial coefficients.  The scans stream the rows and keep two of
 them (the current one and the certificate).  The closed form survives only
 in the single-entry ``beta``, which is the oracle the tests hold the kernel
-to, and in ``reconstruct``.  ``reconstruct`` takes its binomials
-C(d - j, k - j) from a bounded cache keyed by (d - k, k - start_k), since
-the batteries invert rows of the same few shapes thousands of times.  They
-stay binomials, never kernel rows, so the inversion check stays
-independent of the kernel.
+to, and in ``reconstruct``.  ``reconstruct`` recovers a whole row's
+window from one lower-triangular matrix of binomials C(d - j, k - j),
+cached per row length, since the batteries invert rows of the same few
+lengths thousands of times.  They stay binomials, never kernel rows, so
+the inversion check stays independent of the kernel.
 
 The fault hook ``HILBERTDEPTH_FLIP_BETA`` is read only in this module,
 once per ``qdepth``, ``beta`` or ``beta_rows`` call.  It negates the
@@ -49,13 +51,16 @@ from math import comb
 from operator import mul, sub
 from typing import Iterator, NamedTuple
 
-from .errors import OutOfRangeError
+from .errors import NegativeValueError, OutOfRangeError
 from .series import HilbertFunction
 
 # Fault-injection hook for end-to-end tests of the violation path: when this
 # environment variable is set (nonempty), every beta value with k == d > k0
 # is negated, which makes the verification batteries report violations.
 FLIP_BETA_ENV = "HILBERTDEPTH_FLIP_BETA"
+
+# Longest row whose inverse binomials ``reconstruct`` keeps in its cache.
+MAX_CACHED_INVERSE = 32
 
 
 class BetaTable(NamedTuple):
@@ -186,45 +191,49 @@ def beta_table(h: HilbertFunction, d: int) -> BetaTable:
     return BetaTable(d, k0, tuple(row))
 
 
-@lru_cache(maxsize=128)
-def _inverse_coefficients(c: int, b: int) -> tuple[int, ...]:
-    """C(c + b - i, b - i) for i = 0..b: the weights ``reconstruct`` puts on
-    beta(d, start_k + i) to recover h(k), with c = d - k, b = k - start_k."""
-    return tuple(comb(c + b - i, b - i) for i in range(b + 1))
+@lru_cache(maxsize=16)
+def _inverse_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row b holds C(n - 1 - i, b - i) for i = 0..b: the weights
+    ``reconstruct`` puts on beta(d, start_k + i) to recover h(start_k + b)
+    from a row of n = d - start_k + 1 entries."""
+    return tuple(
+        tuple(comb(n - 1 - i, b - i) for i in range(b + 1)) for b in range(n)
+    )
 
 
-def reconstruct(table: BetaTable, k: int) -> int:
-    """Invert the transform: sum_j C(d - j, k - j) beta(d, j) recovers h(k).
+def reconstruct(table: BetaTable) -> list[int]:
+    """Invert the transform: [h(start_k), ..., h(d)] from row d, with
+    h(k) = sum_j C(d - j, k - j) beta(d, j).
 
-    The binomials depend only on c = d - k and b = k - start_k, and come
-    from an LRU cache of at most 128 tuples; the 13 inversion rows of a
-    ``structural`` case use 91 keys.  A tuple for (c, b) holds b + 1
-    integers below 2^(c + b), so in the worst case the cache holds
-    128 (b + 1) integers of c + b bits each, for the largest c + b among
-    its keys; the 91 battery keys (c + b <= 12) take about 20 KB.
+    The binomials depend only on the row length n, and rows of up to
+    MAX_CACHED_INVERSE entries take them from an LRU cache of at most 16
+    matrices.  The matrix for n holds n (n + 1) / 2 integers below 2^(n - 1),
+    so the cache holds at most 16 * 528 integers of under 32 bits; the 13
+    inversion rows of a ``structural`` case use 13 keys.
     """
-    if not table.start_k <= k <= table.d:
-        raise OutOfRangeError(
-            f"k={k} outside table range [{table.start_k}, {table.d}]"
-        )
-    coeffs = _inverse_coefficients(table.d - k, k - table.start_k)
-    return sum(map(mul, coeffs, table.values))
+    n = len(table.values)
+    cached = n <= MAX_CACHED_INVERSE
+    matrix = _inverse_matrix(n) if cached else _inverse_matrix.__wrapped__(n)
+    return [sum(map(mul, row, table.values)) for row in matrix]
 
 
 def bounds(h: HilbertFunction) -> tuple[int, int]:
-    """Inclusive search window [k0, k0 + floor(h1/h0)] for the depth."""
+    """Inclusive search window [k0, k0 + floor(h1/h0)] for the depth, read
+    off the numerator: h0 = c_k0 and h1 = c_(k0+1) + p c_k0."""
     k0 = h.k0
-    h0, h1 = h.values(k0, k0 + 1)
+    h0 = h.numerator[k0]
+    h1 = h.numerator.get(k0 + 1, 0) + h.denom_power * h0
+    if h1 < 0:
+        raise NegativeValueError(f"coefficient at degree {k0 + 1} is {h1}")
     return k0, k0 + h1 // h0
 
 
 def qdepth(h: HilbertFunction) -> QDepthResult:
     """Largest d whose beta row is nonnegative, with certificate.
 
-    The window is read once, so a negative value anywhere in it raises
-    ``NegativeValueError``; the rows are scanned from k0 up to the first
-    negative one.  d = k0 is always feasible because
-    beta(k0, k0) = h(k0) > 0.
+    A negative value in the window raises ``NegativeValueError``; the rows
+    are scanned from k0 up to the first negative one.  d = k0 is always
+    feasible because beta(k0, k0) = h(k0) > 0.
     """
     low, high = bounds(h)
     evals = h.values(low, high)

@@ -1,6 +1,6 @@
 """Small expression language for building Hilbert functions.
 
-Grammar (ASCII, whitespace-insensitive):
+Grammar (ASCII, INT in ASCII digits only, whitespace-insensitive):
 
     expr  := "table(" pairs ")" | "poly(" INT ")" | "free(" INT ";" ints ")"
            | "ci(" INT ";" ints? ")" | "shift(" expr "," INT ")"
@@ -81,6 +81,9 @@ class FunctionSpec(NamedTuple):
 
 Token = tuple[str, Union[int, str], int]  # kind, value, position
 
+# Only ASCII digits make an INT; any other digit is an unexpected character.
+_DIGITS = frozenset("0123456789")
+
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
@@ -94,10 +97,10 @@ def _tokenize(text: str) -> list[Token]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch == "-" or ch.isdecimal():
+        if ch == "-" or ch in _DIGITS:
             start = i
             i += 1
-            while i < len(text) and text[i].isdecimal():
+            while i < len(text) and text[i] in _DIGITS:
                 i += 1
             if text[start:i] == "-":
                 raise ParseError("lone '-'", start, ("integer",))

@@ -13,8 +13,13 @@ A complete intersection's numerator is built on a dense coefficient list,
 one prefix-sum pass per form, so r forms with T numerator terms cost
 O(r*T) big-integer additions; MAX_CI_TERMS caps T and MAX_CI_WORK caps r*T
 before any list exists.
-``HilbertFunction.values`` evaluates a whole window from the numerator
-terms that can reach it, selected once.
+``HilbertFunction.values`` evaluates a window [lo, hi] exactly and without
+binomials from the T numerator terms with e <= hi: by p prefix-sum passes
+over the dense numerator on [min e, hi] while p <= PREFIX_ROUTE_RATIO * T,
+else by the S-convolution h(k) = sum_e c_e S[k - e], where
+S[j] = C(j + p - 1, p - 1) = S[j - 1] (j + p - 1) // j.  Both routes cost
+O(hi - min e) per pass or term, so a window far above k0 costs as much as
+the whole stretch up to it.
 
 The zero function is unrepresentable by design; constructors raise
 EmptyFunctionError instead of building it.
@@ -24,8 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate
-from math import comb
-from operator import sub
+from operator import add, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -46,6 +50,9 @@ MAX_CI_TERMS = 1 << 20
 # an upper bound on the big-integer additions.  The heaviest benchmark
 # expressions need about 6 * 10^4.
 MAX_CI_WORK = 1 << 21
+# The measured crossover of the two ``values`` routes: timed over T = 1..300
+# and W = 4..300, they break even between p = 2T and p = 4T.
+PREFIX_ROUTE_RATIO = 3
 
 
 def _times_one_minus_t(num: Mapping[int, int]) -> dict[int, int]:
@@ -102,28 +109,37 @@ class HilbertFunction:
 
     def evaluate(self, k: int) -> int:
         """Exact value h(k); always a nonnegative integer."""
-        return self._value(k, self.numerator.items())
+        return self.values(k, k)[0]
 
     def values(self, lo: int, hi: int) -> list[int]:
-        """Exact values h(lo), ..., h(hi); each a nonnegative integer.
-
-        The numerator terms with e <= hi are selected once; every value in
-        the window is summed from them alone.
-        """
+        """Exact values h(lo), ..., h(hi), read from the numerator terms with
+        e <= hi; raises NegativeValueError at the first negative one."""
         terms = [(e, c) for e, c in self.numerator.items() if e <= hi]
-        return [self._value(k, terms) for k in range(lo, hi + 1)]
-
-    def _value(self, k: int, terms: Iterable[tuple[int, int]]) -> int:
-        """h(k) summed from ``terms``, which must hold every numerator term
-        with e <= k.  The one place of the closed form and the sign check."""
+        if not terms or hi < lo:
+            return [0] * max(0, hi - lo + 1)
         p = self.denom_power
-        if p == 0:
-            value = self.numerator.get(k, 0)
+        base = min(terms)[0]
+        if p <= PREFIX_ROUTE_RATIO * len(terms):
+            # p prefix-sum passes over the dense numerator on [base, hi]
+            dense = [0] * (hi - base + 1)
+            for e, c in terms:
+                dense[e - base] = c
+            for _ in range(p):
+                dense = list(accumulate(dense))
+            out = [0] * (base - lo) + dense[max(0, lo - base):]
         else:
-            value = sum(c * comb(k - e + p - 1, p - 1) for e, c in terms if e <= k)
-        if value < 0:
+            # S[j] = C(j + p - 1, p - 1), then h(k) = sum_e c_e S[k - e]
+            s = [1] * (hi - base + 1)
+            for j in range(1, hi - base + 1):
+                s[j] = s[j - 1] * (j + p - 1) // j
+            out = [0] * (hi - lo + 1)
+            for e, c in terms:
+                i = max(lo, e) - lo
+                out[i:] = map(add, out[i:], map(c.__mul__, s[i + lo - e:]))
+        if min(out) < 0:
+            k, value = next((k, v) for k, v in enumerate(out, lo) if v < 0)
             raise NegativeValueError(f"coefficient at degree {k} is {value}")
-        return value
+        return out
 
     def __add__(self, other: HilbertFunction) -> HilbertFunction:
         if not isinstance(other, HilbertFunction):

@@ -270,11 +270,11 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
     inversion, and the parity identity, on seeded random functions.
 
     Each case reads h over its inversion window once and walks one kernel
-    pass over it: every row d = k0..k0 + 12 must give back those values
-    through ``reconstruct``'s closed form.  The parity check reuses the
-    first 11 of those 13 values, and extend(h) is built once for both the
-    extension check and the parity check (see ``_parity_law``).  Every
-    failed law goes to the case's ``_reporter``."""
+    pass over it: every row d = k0..k0 + 12 must give back those values,
+    all of them from one ``reconstruct`` call on binomials.  The parity
+    check reuses the first 11 of those 13 values, and extend(h) is built
+    once for both the extension check and the parity check (see
+    ``_parity_law``).  Every failed law goes to the case's ``_reporter``."""
     violations = []
     rng = random.Random(seed)
     for case in range(trials):
@@ -318,11 +318,10 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
         k0 = h.k0
         evals = h.values(k0, k0 + 12)
         for d, row in beta_rows(evals, k0, k0 + 12):
-            table = BetaTable(d, k0, tuple(row))
-            for k in range(k0, d + 1):
-                if reconstruct(table, k) != evals[k - k0]:
-                    fail(f"inversion d={d} k={k}", evals[k - k0], reconstruct(table, k))
-                    break
+            recovered = reconstruct(BetaTable(d, k0, tuple(row)))
+            if recovered != evals[: d - k0 + 1]:
+                i = next(i for i, v in enumerate(recovered) if v != evals[i])
+                fail(f"inversion d={d} k={k0 + i}", evals[i], recovered[i])
         _parity_law(h, evals, extended, fail)
     return trials, violations
 

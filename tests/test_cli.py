@@ -405,6 +405,9 @@ def test_exact_values_print_past_the_digit_cap():
 def test_non_ascii_digit_exit_2():
     # '²' is a digit to str.isdigit but not to int()
     assert_one_line_exit_2(run_cli("qdepth", "poly(²)"), "unexpected character")
+    # Arabic-Indic three is decimal to str.isdecimal and to int()
+    proc = run_cli("qdepth", "poly(\u0663)")
+    assert_one_line_exit_2(proc, "unexpected character '\u0663' at position 5")
 
 
 def test_main_restores_the_digit_cap(monkeypatch, capsys):

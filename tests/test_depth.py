@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hilbertdepth import (
+    HilbertFunction,
+    NegativeValueError,
     OutOfRangeError,
     beta,
     beta_table,
@@ -27,10 +29,12 @@ from hilbertdepth import (
 from hilbertdepth.depth import (
     FLIP_BETA_ENV,
     BetaTable,
-    _inverse_coefficients,
+    MAX_CACHED_INVERSE,
+    _inverse_matrix,
     _rows,
     beta_rows,
 )
+from hilbertdepth.verify import random_hilbert_function
 
 
 def beta_oracle(h, d, k):
@@ -97,36 +101,39 @@ def test_beta_table_examples():
 
 
 def test_reconstruct_inverts():
-    assert reconstruct(beta_table(from_table({0: 1}), 0), 0) == 1
-    assert reconstruct(beta_table(polynomial_ring(3), 3), 2) == 6
+    assert reconstruct(beta_table(from_table({0: 1}), 0)) == [1]
+    assert reconstruct(beta_table(polynomial_ring(3), 3)) == [1, 3, 6, 10]
     bt = beta_table(complete_intersection(2, [3, 3]), 2)
-    assert reconstruct(bt, 2) == 3  # (1+t+t^2)^2 has middle coefficient 3
+    assert reconstruct(bt) == [1, 2, 3]  # (1+t+t^2)^2 = 1 + 2t + 3t^2 + ...
     for h in sample_functions():
         for d in range(h.k0, h.k0 + 13):
-            table = beta_table(h, d)
-            for k in range(h.k0, d + 1):
-                assert reconstruct(table, k) == h.evaluate(k)
-    with pytest.raises(OutOfRangeError):
-        reconstruct(beta_table(polynomial_ring(2), 3), 4)
+            expected = [h.evaluate(k) for k in range(h.k0, d + 1)]
+            assert reconstruct(beta_table(h, d)) == expected
 
 
 def test_cached_reconstruct_matches_the_direct_sum():
     # random tables, not kernel rows: negative start_k, negative entries and
-    # widths past the 91 (d - k, k - start_k) keys a structural case uses
+    # rows both shorter and longer than MAX_CACHED_INVERSE
+    _inverse_matrix.cache_clear()
     rng = random.Random(2024)
+    widths = set()
     for _ in range(400):
         start = rng.randint(-30, 10)
         d = start + rng.randint(0, 40)
         values = tuple(rng.randint(-10**6, 10**6) for _ in range(d - start + 1))
-        table = BetaTable(d, start, values)
-        for k in range(start, d + 1):
-            direct = sum(
-                comb(d - j, k - j) * values[j - start] for j in range(start, k + 1)
-            )
-            assert reconstruct(table, k) == direct
-    maxsize = _inverse_coefficients.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize
-    assert _inverse_coefficients.cache_info().currsize <= maxsize
+        widths.add(len(values))
+        direct = [
+            sum(comb(d - j, k - j) * values[j - start] for j in range(start, k + 1))
+            for k in range(start, d + 1)
+        ]
+        assert reconstruct(BetaTable(d, start, values)) == direct
+    assert min(widths) <= MAX_CACHED_INVERSE < max(widths)
+    info = _inverse_matrix.cache_info()
+    assert info.maxsize == 16 and info.currsize <= 16
+    # a row past the cap is inverted without entering the cache
+    _inverse_matrix.cache_clear()
+    reconstruct(BetaTable(MAX_CACHED_INVERSE, 0, (1,) * (MAX_CACHED_INVERSE + 1)))
+    assert _inverse_matrix.cache_info().currsize == 0
 
 
 def test_bounds():
@@ -134,6 +141,30 @@ def test_bounds():
     for n in (1, 3, 6):
         assert bounds(polynomial_ring(n)) == (0, n)
     assert bounds(from_table({2: 2, 3: 5})) == (2, 4)
+
+
+def test_bounds_from_the_numerator_match_the_values():
+    rng = random.Random(77)
+    for _ in range(300):
+        h = random_hilbert_function(rng)
+        h0, h1 = h.values(h.k0, h.k0 + 1)
+        assert bounds(h) == (h.k0, h.k0 + h1 // h0)
+
+
+def test_bounds_reject_a_negative_second_value():
+    # h(0) = 1, h(1) = 1 - 5 = -4
+    with pytest.raises(NegativeValueError, match="^coefficient at degree 1 is -4$"):
+        qdepth(HilbertFunction({0: 1, 1: -5}, 1))
+
+
+def test_negative_values_past_the_window_do_not_matter():
+    # h = 2, 1, 1, 1, 1, -2, ...: the window [0, 0 + 1 // 2] ends at 0
+    h = HilbertFunction({0: 2, 1: -1, 5: -3}, 1)
+    assert h.values(0, 4) == [2, 1, 1, 1, 1]
+    with pytest.raises(NegativeValueError):
+        h.values(0, 5)
+    result = qdepth(h)
+    assert (result.qdepth, result.lower_bound, result.upper_bound) == (0, 0, 0)
 
 
 def test_qdepth_polynomial_rings():

@@ -60,6 +60,20 @@ def test_parse_errors_carry_positions():
         assert info.value.position == position
 
 
+def test_only_ascii_digits_make_an_integer():
+    # each of these is a digit to str.isdecimal, and int() would read it
+    for text, position in (
+        ("poly(\u0663)", 5),
+        ("table(0:1,\u0661:3)", 10),
+        ("poly(3\u0663)", 6),
+        ("free(2; \uff11)", 8),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_spec(text)
+        assert info.value.position == position
+        assert str(info.value).startswith(f"unexpected character {text[position]!r}")
+
+
 def test_elaboration_errors():
     with pytest.raises(ElaborationError):
         parse_function("poly(0)")

@@ -1,13 +1,15 @@
 """Construction and algebra of Hilbert functions.
 
-The independent oracles here: prefix-sum expansion for values of
-numerator/(1-t)^p, and brute-force counting of bounded-exponent monomials
-for complete intersections.
+The independent oracles here: the closed form sum_e c_e C(k - e + p - 1,
+p - 1) and prefix-sum expansion for values of numerator/(1-t)^p, and
+brute-force counting of bounded-exponent monomials for complete
+intersections.
 """
 
 import itertools
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,28 @@ from hilbertdepth import (
 )
 from hilbertdepth import series
 from hilbertdepth.series import MAX_CI_TERMS, MAX_CI_WORK
+
+
+def comb_values_oracle(h, lo, hi):
+    """h(lo), ..., h(hi) from the closed form, one binomial per term and
+    degree, with no sign check."""
+    p = h.denom_power
+    if p == 0:
+        return [h.numerator.get(k, 0) for k in range(lo, hi + 1)]
+    return [
+        sum(c * comb(k - e + p - 1, p - 1) for e, c in h.numerator.items() if e <= k)
+        for k in range(lo, hi + 1)
+    ]
+
+
+def values_route(h, lo, hi):
+    """The route ``values`` takes, by its documented rule."""
+    reach = sum(e <= hi for e in h.numerator)
+    if not reach or hi < lo:
+        return "zeros"
+    if h.denom_power <= series.PREFIX_ROUTE_RATIO * reach:
+        return "prefix"
+    return "convolution"
 
 
 def series_values_oracle(h, lo, hi):
@@ -416,30 +440,53 @@ def test_complete_intersection_work_cap_boundary(monkeypatch):
 
 @st.composite
 def window_cases(draw):
-    """A Hilbert function with p = 0 or p > 0 and a window that may start
-    below k0 and end past the numerator's top exponent."""
-    if draw(st.booleans()):
-        n = draw(st.integers(1, 6))
-        degrees = draw(st.lists(st.integers(1, 6), max_size=n))
+    """A function with p from 0 to 40 and from 1 to 41 numerator terms, so
+    that p is both above and below the term count, possibly negative
+    somewhere; and a window that may start or end below k0, end past the
+    numerator's top exponent, or be empty."""
+    shape = draw(st.sampled_from(("ci", "extended table", "raw")))
+    if shape == "ci":
+        n = draw(st.integers(1, 40))
+        degrees = draw(st.lists(st.integers(1, 6), max_size=min(n, 8)))
         h = shift(complete_intersection(n, degrees), draw(st.integers(-4, 4)))
     else:
         start = draw(st.integers(-5, 5))
-        values = draw(st.lists(st.integers(0, 9), min_size=1, max_size=6))
-        h = from_table({start + i: v for i, v in enumerate([1 + values[0], *values[1:]])})
-        for _ in range(draw(st.integers(0, 4))):
-            h = extend(h)
-    lo = h.k0 - draw(st.integers(0, 3))
-    hi = lo + draw(st.integers(0, 24))
+        low = -3 if shape == "raw" else 0
+        coeffs = draw(st.lists(st.integers(low, 9), min_size=1, max_size=6))
+        num = {start + i: c for i, c in enumerate([1 + abs(coeffs[0]), *coeffs[1:]])}
+        p = draw(st.integers(0, 40))
+        h = HilbertFunction(num, p) if shape == "raw" else from_table(num)
+        if shape != "raw":
+            for _ in range(p):
+                h = extend(h)
+    lo = h.k0 + draw(st.integers(-6, 6))
+    hi = lo + draw(st.integers(-2, 24))
     return h, lo, hi
 
 
-@settings(max_examples=200, deadline=None)
-@given(window_cases())
-def test_values_matches_evaluate_and_oracle(case):
-    h, lo, hi = case
-    window = h.values(lo, hi)
-    assert window == [h.evaluate(k) for k in range(lo, hi + 1)]
-    assert window == series_values_oracle(h, lo, hi)
+def test_values_matches_evaluate_and_oracle():
+    routes = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(window_cases())
+    def check(case):
+        h, lo, hi = case
+        routes.add(values_route(h, lo, hi))
+        expected = comb_values_oracle(h, lo, hi)
+        negative = [(k, v) for k, v in zip(range(lo, hi + 1), expected) if v < 0]
+        if negative:
+            k, v = negative[0]
+            message = f"^coefficient at degree {k} is {v}$"
+            with pytest.raises(NegativeValueError, match=message):
+                h.values(lo, hi)
+            return
+        window = h.values(lo, hi)
+        assert window == expected
+        assert window == [h.evaluate(k) for k in range(lo, hi + 1)]
+        assert window == series_values_oracle(h, lo, hi)
+
+    check()
+    assert routes == {"zeros", "prefix", "convolution"}
 
 
 def test_values_negative_coefficient_rejected():

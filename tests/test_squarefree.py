@@ -310,8 +310,8 @@ def test_depth_routes_match():
         result = qdepth_from_alpha(alpha)
         assert result.qdepth <= alpha_function(alpha).kf <= q.n
         # certificates reconstruct the alpha entries
-        for k in range(result.certificate.start_k, result.qdepth + 1):
-            assert reconstruct(result.certificate, k) == alpha[k]
+        start = result.certificate.start_k
+        assert reconstruct(result.certificate) == list(alpha[start : result.qdepth + 1])
 
 
 def test_random_quotient_determinism_and_shape():

@@ -288,9 +288,9 @@ def structural_reference(trials, seed):
             )
         k0 = h.k0
         for d in range(k0, k0 + 13):
-            table = beta_table(h, d)
+            recovered = reconstruct(beta_table(h, d))
             bad = next(
-                (k for k in range(k0, d + 1) if reconstruct(table, k) != h.evaluate(k)),
+                (k for k in range(k0, d + 1) if recovered[k - k0] != h.evaluate(k)),
                 None,
             )
             if bad is not None:
@@ -298,7 +298,7 @@ def structural_reference(trials, seed):
                     Violation(
                         f"{descriptor} inversion d={d} k={bad}",
                         str(h.evaluate(bad)),
-                        str(reconstruct(table, bad)),
+                        str(recovered[bad - k0]),
                     )
                 )
         parity = parity_reference(h, descriptor)
