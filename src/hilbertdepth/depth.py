@@ -27,20 +27,21 @@ C(d - j, k - j) gives
 
 so a scan costs O(q^2) big-integer subtractions, with q = qdepth - k0 + 2,
 and no binomial coefficients.  The scans stream the rows and keep two of
-them (the current one and the certificate).  The closed form survives only
-in the single-entry ``beta``, which is the oracle the tests hold the kernel
-to, and in ``reconstruct``.  ``reconstruct`` recovers a whole row's
-window from one lower-triangular matrix of binomials C(d - j, k - j),
-cached per row length, since the batteries invert rows of the same few
-lengths thousands of times.  They stay binomials, never kernel rows, so
-the inversion check stays independent of the kernel.
+them (the current one and the certificate).  The kernel is the only code
+here that computes beta: ``beta_table`` is its last row and ``beta`` one
+entry of that row.  The closed form above lives in the tests, as the oracle
+they hold the kernel to.  ``reconstruct`` recovers a whole row's window
+from one lower-triangular matrix of binomials C(d - j, k - j), cached per
+row length, since the batteries invert rows of the same few lengths
+thousands of times.  They stay binomials, never kernel rows, so the
+inversion check stays independent of the kernel.
 
 The fault hook ``HILBERTDEPTH_FLIP_BETA`` is read only in this module,
-once per ``qdepth``, ``beta`` or ``beta_rows`` call.  It negates the
-reported diagonal entry k == d > k0 of each row; the kernel hands out a
-flipped copy and keeps recurring on the clean row.  Flipped rows are not
-prefix sums of each other, and the scan stops at the first one with a
-negative entry.
+once per ``qdepth`` or ``beta_rows`` call, and applied only by the kernel.
+It negates the reported diagonal entry k == d > k0 of each row; the kernel
+hands out a flipped copy and keeps recurring on the clean row.  Flipped
+rows are not prefix sums of each other, and the scan stops at the first
+one with a negative entry.
 """
 
 from __future__ import annotations
@@ -114,18 +115,6 @@ def _flip_active() -> bool:
     return bool(os.environ.get(FLIP_BETA_ENV))
 
 
-def _beta_value(evals: list[int], k0: int, d: int, k: int) -> int:
-    """Closed-form beta(d, k) from cached values evals[j - k0] = h(j)."""
-    total = 0
-    sign = 1
-    for j in range(k, k0 - 1, -1):
-        total += sign * comb(d - j, k - j) * evals[j - k0]
-        sign = -sign
-    if _flip_active() and k == d > k0:
-        total = -total
-    return total
-
-
 def _rows(
     evals: list[int], start: int, top: int, flip: bool = False
 ) -> Iterator[tuple[int, list[int]]]:
@@ -171,17 +160,8 @@ def scan(
     )
 
 
-def beta(h: HilbertFunction, d: int, k: int) -> int:
-    """Single transform entry; requires k0(h) <= k <= d."""
-    k0 = h.k0
-    if k < k0 or k > d:
-        raise OutOfRangeError(f"k={k} outside [{k0}, {d}]")
-    evals = h.values(k0, k)
-    return _beta_value(evals, k0, d, k)
-
-
 def beta_table(h: HilbertFunction, d: int) -> BetaTable:
-    """All entries beta(d, k) for k0(h) <= k <= d."""
+    """All entries beta(d, k) for k0(h) <= k <= d: the kernel's row d."""
     k0 = h.k0
     if d < k0:
         raise OutOfRangeError(f"d={d} is below k0={k0}")
@@ -189,6 +169,12 @@ def beta_table(h: HilbertFunction, d: int) -> BetaTable:
     for _, row in beta_rows(evals, k0, d):
         pass
     return BetaTable(d, k0, tuple(row))
+
+
+def beta(h: HilbertFunction, d: int, k: int) -> int:
+    """Single transform entry, read off ``beta_table(h, d)``; requires
+    k0(h) <= k <= d.  It costs the whole row, O((d - k0)^2) subtractions."""
+    return beta_table(h, d).value(k)
 
 
 @lru_cache(maxsize=16)

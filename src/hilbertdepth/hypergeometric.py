@@ -186,10 +186,12 @@ def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
 
 
 def check_beta_identity(max_n: int) -> tuple[int, list[Violation]]:
-    """beta(n, k) of the n-variable ring against the closed Gauss form.
+    """The kernel's ring row against the closed Gauss form.
 
-    Exact rational equality of beta(polynomial_ring(n), n, k) and
-    (-1)^k C(n, k) gauss_2f1(k, n) for all 0 <= k <= n <= max_n.
+    Exact rational equality of beta(polynomial_ring(n), n, k), entry k of
+    the kernel's row n, and (-1)^k C(n, k) gauss_2f1(k, n) for all
+    0 <= k <= n <= max_n.  Under the fault hook the diagonal entries k = n
+    fail.
     """
     from fractions import Fraction
 

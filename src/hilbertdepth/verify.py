@@ -41,7 +41,12 @@ from .series import (
     scale,
     shift,
 )
-from .squarefree import check_qdepth_match, random_quotient, format_ideal
+from .squarefree import (
+    DEFAULT_VARIABLE_CAP,
+    check_qdepth_match,
+    format_ideal,
+    random_quotient,
+)
 
 DEFAULT_SEED = 271828
 
@@ -331,7 +336,12 @@ def verify_quotients(
 ) -> tuple[int, list[Violation]]:
     """Depth from the alpha vector equals depth of its Hilbert function on
     seeded random squarefree quotients in n in [1, max_n] variables (none
-    when that range is empty)."""
+    when that range is empty).  A max_n above the default variable cap
+    raises ``OutOfRangeError`` before any case is drawn."""
+    if max_n > DEFAULT_VARIABLE_CAP:
+        raise OutOfRangeError(
+            f"max_n={max_n} exceeds the variable cap {DEFAULT_VARIABLE_CAP}"
+        )
     violations = []
     rng = random.Random(seed)
     produced = 0

@@ -1,0 +1,27 @@
+"""The closed form of the beta transform, the oracle the tests hold the
+package's kernel to:
+
+    beta(d, k) = sum_{j = k0..k} (-1)^(k - j) C(d - j, k - j) h(j).
+
+It is written separately from the package, which computes beta only by
+Pascal's rule on rows.  With ``flip`` the entry k == d > k0 is negated,
+as the package's fault hook negates it.
+"""
+
+from math import comb
+
+
+def closed_form_beta(h, d, k, flip=False):
+    """beta(d, k) of h for k0(h) <= k <= d."""
+    k0 = h.k0
+    values = h.values(k0, k)
+    total = sum(
+        (-1) ** (k - j) * comb(d - j, k - j) * values[j - k0]
+        for j in range(k0, k + 1)
+    )
+    return -total if flip and k == d > k0 else total
+
+
+def closed_form_row(h, d, flip=False):
+    """[beta(d, k0), ..., beta(d, d)] of h, entry by entry."""
+    return [closed_form_beta(h, d, k, flip) for k in range(h.k0, d + 1)]

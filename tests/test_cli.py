@@ -178,6 +178,15 @@ def test_verify_quotients_huge_max_n_exit_2():
     assert "cap" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_verify_quotients_max_n_past_the_default_cap_exit_2():
+    # seed 1 draws no n above 20 and seed 5 does: both exit 2 before any case
+    for seed in ("1", "5"):
+        proc = run_cli(
+            "verify", "quotients", "--max-n", "21", "--trials", "2", "--seed", seed
+        )
+        assert_one_line_exit_2(proc, "max_n=21 exceeds the variable cap 20")
+
+
 def test_qdepth_stops_at_first_negative_row():
     # a 3e6-wide window whose depth is 1: only rows 0..2 are built
     proc = run_cli("qdepth", "table(0:1,1:3000000)", timeout=20)

@@ -36,13 +36,7 @@ from hilbertdepth.depth import (
 )
 from hilbertdepth.verify import random_hilbert_function
 
-
-def beta_oracle(h, d, k):
-    """Direct alternating sum, written separately from the implementation."""
-    return sum(
-        (-1) ** (k - j) * comb(d - j, k - j) * h.evaluate(j)
-        for j in range(h.k0, k + 1)
-    )
+from closed_form import closed_form_beta, closed_form_row
 
 
 def sample_functions():
@@ -79,7 +73,7 @@ def test_beta_matches_oracle():
     for h in sample_functions():
         for d in range(h.k0, h.k0 + 8):
             for k in range(h.k0, d + 1):
-                assert beta(h, d, k) == beta_oracle(h, d, k)
+                assert beta(h, d, k) == closed_form_beta(h, d, k)
 
 
 def test_beta_range_errors():
@@ -88,6 +82,10 @@ def test_beta_range_errors():
         beta(h, 3, -1)
     with pytest.raises(OutOfRangeError):
         beta(h, 3, 4)
+    with pytest.raises(OutOfRangeError):
+        beta(h, -1, -1)  # d below k0
+    with pytest.raises(OutOfRangeError):
+        beta(from_table({2: 1}), 1, 1)
     with pytest.raises(OutOfRangeError):
         beta_table(h, -1)
 
@@ -197,7 +195,7 @@ def test_certificate_and_refutation_contract():
             d, k, b = result.refutation
             assert d == result.qdepth + 1
             assert b < 0
-            assert beta(h, d, k) == b
+            assert closed_form_beta(h, d, k) == b
         if h.kf is not None:
             assert result.qdepth <= h.kf
 
@@ -210,7 +208,7 @@ def test_feasible_set_is_an_interval():
         feasible = [
             d
             for d in range(low, high + 1)
-            if min(beta(h, d, k) for k in range(low, d + 1)) >= 0
+            if min(closed_form_row(h, d)) >= 0
         ]
         assert feasible == list(range(h.k0, qdepth(h).qdepth + 1))
 
@@ -304,12 +302,12 @@ def _flip_env(flip):
         yield
 
 
-def reference_scan(h):
+def reference_scan(h, flip):
     """Exhaustive scan of the window written against the closed-form beta:
     (feasible depths, depth, certificate values, refutation).  The depth is
     the row before the first row with a negative entry."""
     low, high = bounds(h)
-    rows = {d: [beta(h, d, k) for k in range(low, d + 1)] for d in range(low, high + 1)}
+    rows = {d: closed_form_row(h, d, flip) for d in range(low, high + 1)}
     feasible = [d for d, row in rows.items() if min(row) >= 0]
     first_negative = next((d for d, row in rows.items() if min(row) < 0), None)
     if first_negative is None:
@@ -326,11 +324,10 @@ def test_rows_are_prefix_sums_of_the_next(h):
     # the law the early exit rests on: a nonnegative row d + 1 makes row d
     # nonnegative, so the feasible depths form an interval
     low, high = bounds(h)
-    with _flip_env(False):
-        for d in range(low, high + 1):
-            row = [beta(h, d, k) for k in range(low, d + 1)]
-            following = [beta(h, d + 1, k) for k in range(low, d + 2)]
-            assert row == list(accumulate(following))[:-1]
+    for d in range(low, high + 1):
+        row = closed_form_row(h, d)
+        following = closed_form_row(h, d + 1)
+        assert row == list(accumulate(following))[:-1]
 
 
 @pytest.mark.parametrize("flip", [False, True])
@@ -340,11 +337,10 @@ def test_kernel_rows_match_closed_form(flip, h, extra):
     low, high = bounds(h)
     top = min(high, low + 24) + extra
     evals = [h.evaluate(j) for j in range(low, top + 1)]
-    with _flip_env(flip):
-        rows = list(_rows(evals, low, top, flip))
-        assert [d for d, _ in rows] == list(range(low, top + 1))
-        for d, row in rows:
-            assert row == [beta(h, d, k) for k in range(low, d + 1)]
+    rows = list(_rows(evals, low, top, flip))
+    assert [d for d, _ in rows] == list(range(low, top + 1))
+    for d, row in rows:
+        assert row == closed_form_row(h, d, flip)
 
 
 @pytest.mark.parametrize("flip", [False, True])
@@ -354,7 +350,7 @@ def test_scans_match_reference_scan(flip, h):
     low, high = bounds(h)
     assume(high - low <= 24)
     with _flip_env(flip):
-        feasible, best, values, refutation = reference_scan(h)
+        feasible, best, values, refutation = reference_scan(h, flip)
         result = qdepth(h)
         if not flip:
             assert feasible == list(range(low, best + 1))

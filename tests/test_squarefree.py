@@ -25,7 +25,6 @@ from hilbertdepth import (
     SquarefreeQuotient,
     TooManyVariablesError,
     alpha_vector,
-    beta,
     check_qdepth_match,
     from_table,
     qdepth_from_alpha,
@@ -35,6 +34,8 @@ from hilbertdepth import (
 from hilbertdepth import squarefree
 from hilbertdepth.depth import _rows
 from hilbertdepth.squarefree import format_ideal, format_monomial, minimalize, parse_ideal
+
+from closed_form import closed_form_beta
 
 
 def subsets_oracle(n):
@@ -276,7 +277,7 @@ def test_beta_consistency_between_routes():
         h = alpha_function(alpha)
 
         def closed_form(d, k):
-            return 0 if k < h.k0 else beta(h, d, k)
+            return 0 if k < h.k0 else closed_form_beta(h, d, k)
 
         for d, row in _rows([*alpha, 0], 0, n + 1):
             assert row == [closed_form(d, k) for k in range(d + 1)]

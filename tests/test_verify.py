@@ -7,6 +7,7 @@ import pytest
 
 from hilbertdepth import (
     complete_intersection,
+    depth,
     free_module,
     from_table,
     extend,
@@ -15,7 +16,7 @@ from hilbertdepth import (
     shift,
     verify,
 )
-from hilbertdepth.depth import FLIP_BETA_ENV, beta, beta_table, reconstruct
+from hilbertdepth.depth import FLIP_BETA_ENV, BetaTable, reconstruct
 from hilbertdepth.errors import OutOfRangeError
 from hilbertdepth.report import VerificationReport, Violation
 from hilbertdepth.series import scale
@@ -26,6 +27,8 @@ from hilbertdepth.verify import (
     random_hilbert_function,
     run_battery,
 )
+
+from closed_form import closed_form_beta, closed_form_row
 
 
 def test_every_battery_runs_green():
@@ -145,6 +148,18 @@ def test_quotient_battery():
     assert report.cases_run == 60
 
 
+def test_quotient_battery_rejects_max_n_past_the_default_cap(monkeypatch):
+    # seed 1 draws only n <= 20 from [1, 22], so the cap must be checked
+    # on max_n itself, before any case is drawn
+    drawn = []
+    monkeypatch.setattr(verify, "random_quotient", lambda *a: drawn.append(a))
+    with pytest.raises(OutOfRangeError, match="max_n=22 exceeds the variable cap 20"):
+        run_battery("quotients", trials=2, seed=1, max_n=22)
+    assert drawn == []
+    monkeypatch.undo()
+    assert run_battery("quotients", trials=2, seed=1, max_n=20).passed
+
+
 def test_random_pool_is_reproducible():
     pool_a = [random_hilbert_function(random.Random(6)) for _ in range(1)]
     pool_b = [random_hilbert_function(random.Random(6)) for _ in range(1)]
@@ -154,13 +169,13 @@ def test_random_pool_is_reproducible():
     assert len(shapes) > 1  # both finite and infinite support appear
 
 
-# Reference batteries built entry by entry: one beta_table per d, one
-# closed-form beta per parity or recursion entry and one evaluate per
-# value.  The window-at-once batteries must report exactly what these
-# report.
+# Reference batteries built entry by entry on the closed-form beta (with
+# ``flip`` standing in for the fault hook) and one evaluate per value, so
+# they never run the package's kernel.  The window-at-once batteries must
+# report exactly what these report.
 
 
-def ci_recursion_reference(trials, seed, max_n=6, max_degree=6):
+def ci_recursion_reference(trials, seed, flip, max_n=6, max_degree=6):
     violations = []
     rng = random.Random(seed)
     trials = trials if max_n >= 2 and max_degree >= 3 else 0
@@ -180,10 +195,10 @@ def ci_recursion_reference(trials, seed, max_n=6, max_degree=6):
             )
             continue
         for k in range(n + 1):
-            lhs = beta(h_full, n, k)
-            rhs = beta(h_lowered, n, k)
+            lhs = closed_form_beta(h_full, n, k, flip)
+            rhs = closed_form_beta(h_lowered, n, k, flip)
             if k >= dn - 1:
-                rhs += beta(h_smaller, n - dn + 1, k - dn + 1)
+                rhs += closed_form_beta(h_smaller, n - dn + 1, k - dn + 1, flip)
             if lhs != rhs:
                 violations.append(
                     Violation(f"{descriptor} beta k={k}", str(rhs), str(lhs))
@@ -191,18 +206,18 @@ def ci_recursion_reference(trials, seed, max_n=6, max_degree=6):
     return VerificationReport("ci-recursion", trials, violations)
 
 
-def parity_reference(h, descriptor):
+def parity_reference(h, descriptor, flip):
     extended = extend(h)
     k0 = h.k0
     for d in range(k0, k0 + 11):
-        lhs = beta(extended, d, d)
+        lhs = closed_form_beta(extended, d, d, flip)
         rhs = sum(h.evaluate(m) for m in range(k0, d + 1) if (d - m) % 2 == 0)
         if lhs != rhs:
             return Violation(f"{descriptor} parity d={d}", str(rhs), str(lhs))
     return None
 
 
-def extension_reference(trials, seed):
+def extension_reference(trials, seed, flip):
     violations = []
     rng = random.Random(seed)
     for case in range(trials):
@@ -214,13 +229,13 @@ def extension_reference(trials, seed):
             violations.append(
                 Violation(f"{descriptor} extension", f">= {base}", str(lifted))
             )
-        parity = parity_reference(h, descriptor)
+        parity = parity_reference(h, descriptor, flip)
         if parity is not None:
             violations.append(parity)
     return VerificationReport("extension", trials, violations)
 
 
-def structural_reference(trials, seed):
+def structural_reference(trials, seed, flip):
     violations = []
     rng = random.Random(seed)
     for case in range(trials):
@@ -253,7 +268,7 @@ def structural_reference(trials, seed):
             )
         if result.refutation is not None:
             rd, rk, rb = result.refutation
-            if rb >= 0 or beta(h, rd, rk) != rb:
+            if rb >= 0 or closed_form_beta(h, rd, rk, flip) != rb:
                 violations.append(
                     Violation(f"{descriptor} refutation", "negative beta", str(rb))
                 )
@@ -288,7 +303,8 @@ def structural_reference(trials, seed):
             )
         k0 = h.k0
         for d in range(k0, k0 + 13):
-            recovered = reconstruct(beta_table(h, d))
+            row = tuple(closed_form_row(h, d, flip))
+            recovered = reconstruct(BetaTable(d, k0, row))
             bad = next(
                 (k for k in range(k0, d + 1) if recovered[k - k0] != h.evaluate(k)),
                 None,
@@ -301,13 +317,13 @@ def structural_reference(trials, seed):
                         str(recovered[bad - k0]),
                     )
                 )
-        parity = parity_reference(h, descriptor)
+        parity = parity_reference(h, descriptor, flip)
         if parity is not None:
             violations.append(parity)
     return VerificationReport("structural", trials, violations)
 
 
-def ci_truncation_reference(max_n, max_degree):
+def ci_truncation_reference(max_n, max_degree, flip):
     violations = []
     cases = 0
     for n in range(1, max_n + 1):
@@ -326,7 +342,7 @@ def ci_truncation_reference(max_n, max_degree):
                                 str(padded.evaluate(j)),
                             )
                         )
-                if beta_table(plain, n) != beta_table(padded, n):
+                if closed_form_row(plain, n, flip) != closed_form_row(padded, n, flip):
                     violations.append(
                         Violation(f"{descriptor} beta row", "equal tables", "differ")
                     )
@@ -391,18 +407,18 @@ def test_window_batteries_match_per_entry_reference(monkeypatch, flip):
         monkeypatch.delenv(FLIP_BETA_ENV, raising=False)
     for seed in (271828, 5):
         structural = run_battery("structural", trials=60, seed=seed)
-        assert _same_report(structural, structural_reference(60, seed))
+        assert _same_report(structural, structural_reference(60, seed, flip))
         extension = run_battery("extension", trials=60, seed=seed)
-        assert _same_report(extension, extension_reference(60, seed))
+        assert _same_report(extension, extension_reference(60, seed, flip))
         assert bool(structural.violations) == flip
         assert bool(extension.violations) == flip
         recursion = run_battery("ci-recursion", trials=100, seed=seed)
-        assert _same_report(recursion, ci_recursion_reference(100, seed))
+        assert _same_report(recursion, ci_recursion_reference(100, seed, flip))
         wide = run_battery("ci-recursion", trials=60, seed=seed, max_n=9, max_degree=9)
-        assert _same_report(wide, ci_recursion_reference(60, seed, 9, 9))
+        assert _same_report(wide, ci_recursion_reference(60, seed, flip, 9, 9))
     # the hook negates both tables alike, so truncation stays clean
     truncation = run_battery("ci-truncation", max_n=4, max_degree=4)
-    assert _same_report(truncation, ci_truncation_reference(4, 4))
+    assert _same_report(truncation, ci_truncation_reference(4, 4, flip))
     assert truncation.passed
 
 
@@ -426,6 +442,24 @@ def test_depth_law_batteries_match_per_case_reference(monkeypatch, flip):
         assert bool(wide.violations) == flip
     assert bool(run_battery("polyring", max_n=9).violations) == flip
     assert bool(run_battery("ci", max_n=4, max_degree=3).violations) == flip
+
+
+def test_batteries_check_the_kernel(monkeypatch):
+    # a kernel whose diagonal at row start + 3 is off by one, carried into
+    # the rows after it: the closed-form Gauss check and the inversion check
+    # must both see it
+    clean = depth._rows
+
+    def mutant(evals, start, top, flip=False):
+        for d, row in clean(evals, start, top, flip):
+            if d == start + 3:
+                row[-1] += 1
+            yield d, row
+
+    monkeypatch.delenv(FLIP_BETA_ENV, raising=False)
+    monkeypatch.setattr(depth, "_rows", mutant)
+    assert run_battery("beta-identity").violations
+    assert run_battery("structural").violations
 
 
 def test_clean_batteries_build_no_descriptor(monkeypatch):
