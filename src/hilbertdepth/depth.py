@@ -30,11 +30,11 @@ and no binomial coefficients.  The scans stream the rows and keep two of
 them (the current one and the certificate).  The kernel is the only code
 here that computes beta: ``beta_table`` is its last row and ``beta`` one
 entry of that row.  The closed form above lives in the tests, as the oracle
-they hold the kernel to.  ``reconstruct`` recovers a whole row's window
-from one lower-triangular matrix of binomials C(d - j, k - j), cached per
-row length, since the batteries invert rows of the same few lengths
-thousands of times.  They stay binomials, never kernel rows, so the
-inversion check stays independent of the kernel.
+they hold the kernel to.  ``reconstruct`` recovers a whole row's window by
+Horner's rule on the generating function of the inverse, one Pascal-sum
+pass per entry, O(L^2) additions for a row of L entries and no state.  It
+adds where the kernel subtracts and never calls the kernel, so the
+inversion check stays independent of it.
 
 The fault hook ``HILBERTDEPTH_FLIP_BETA`` is read only in this module,
 once per ``qdepth`` or ``beta_rows`` call, and applied only by the kernel.
@@ -47,9 +47,7 @@ one with a negative entry.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
-from math import comb
-from operator import mul, sub
+from operator import add, sub
 from typing import Iterator, NamedTuple
 
 from .errors import NegativeValueError, OutOfRangeError
@@ -59,9 +57,6 @@ from .series import HilbertFunction
 # environment variable is set (nonempty), every beta value with k == d > k0
 # is negated, which makes the verification batteries report violations.
 FLIP_BETA_ENV = "HILBERTDEPTH_FLIP_BETA"
-
-# Longest row whose inverse binomials ``reconstruct`` keeps in its cache.
-MAX_CACHED_INVERSE = 32
 
 
 class BetaTable(NamedTuple):
@@ -177,30 +172,25 @@ def beta(h: HilbertFunction, d: int, k: int) -> int:
     return beta_table(h, d).value(k)
 
 
-@lru_cache(maxsize=16)
-def _inverse_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row b holds C(n - 1 - i, b - i) for i = 0..b: the weights
-    ``reconstruct`` puts on beta(d, start_k + i) to recover h(start_k + b)
-    from a row of n = d - start_k + 1 entries."""
-    return tuple(
-        tuple(comb(n - 1 - i, b - i) for i in range(b + 1)) for b in range(n)
-    )
-
-
 def reconstruct(table: BetaTable) -> list[int]:
     """Invert the transform: [h(start_k), ..., h(d)] from row d, with
     h(k) = sum_j C(d - j, k - j) beta(d, j).
 
-    The binomials depend only on the row length n, and rows of up to
-    MAX_CACHED_INVERSE entries take them from an LRU cache of at most 16
-    matrices.  The matrix for n holds n (n + 1) / 2 integers below 2^(n - 1),
-    so the cache holds at most 16 * 528 integers of under 32 bits; the 13
-    inversion rows of a ``structural`` case use 13 keys.
+    Those sums are the coefficients of
+
+        H(t) = sum_b beta_b t^b (1 + t)^(L - 1 - b)
+
+    for the row's L entries beta_b = beta(d, start_k + b).  Horner's rule
+    builds H one entry at a time, acc -> (1 + t) acc + beta_b t^b, each step
+    one Pascal-sum pass, so no binomial is formed.  Row d is a unitriangular
+    map of h over [start_k, d] (beta(d, k) = h(k) + terms in h(j), j < k),
+    so this is the one exact inverse: any other returns the same list for
+    every row, clean, flipped or faulty.
     """
-    n = len(table.values)
-    cached = n <= MAX_CACHED_INVERSE
-    matrix = _inverse_matrix(n) if cached else _inverse_matrix.__wrapped__(n)
-    return [sum(map(mul, row, table.values)) for row in matrix]
+    acc = list(table.values[:1])
+    for v in table.values[1:]:
+        acc = [*map(add, acc, [0, *acc]), v + acc[-1]]
+    return acc
 
 
 def bounds(h: HilbertFunction) -> tuple[int, int]:

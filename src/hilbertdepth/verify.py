@@ -276,10 +276,11 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
 
     Each case reads h over its inversion window once and walks one kernel
     pass over it: every row d = k0..k0 + 12 must give back those values,
-    all of them from one ``reconstruct`` call on binomials.  The parity
-    check reuses the first 11 of those 13 values, and extend(h) is built
-    once for both the extension check and the parity check (see
-    ``_parity_law``).  Every failed law goes to the case's ``_reporter``."""
+    all of them from one ``reconstruct`` call, by Pascal sums that never
+    call the kernel.  The parity check reuses the first 11 of those 13
+    values, and extend(h) is built once for both the extension check and
+    the parity check (see ``_parity_law``).  Every failed law goes to the
+    case's ``_reporter``."""
     violations = []
     rng = random.Random(seed)
     for case in range(trials):

@@ -29,14 +29,12 @@ from hilbertdepth import (
 from hilbertdepth.depth import (
     FLIP_BETA_ENV,
     BetaTable,
-    MAX_CACHED_INVERSE,
-    _inverse_matrix,
     _rows,
     beta_rows,
 )
 from hilbertdepth.verify import random_hilbert_function
 
-from closed_form import closed_form_beta, closed_form_row
+from closed_form import closed_form_beta, closed_form_reconstruct, closed_form_row
 
 
 def sample_functions():
@@ -109,29 +107,17 @@ def test_reconstruct_inverts():
             assert reconstruct(beta_table(h, d)) == expected
 
 
-def test_cached_reconstruct_matches_the_direct_sum():
+def test_reconstruct_matches_the_closed_form():
     # random tables, not kernel rows: negative start_k, negative entries and
-    # rows both shorter and longer than MAX_CACHED_INVERSE
-    _inverse_matrix.cache_clear()
+    # rows of 1 to 300 entries, all taking the one Pascal-sum route
     rng = random.Random(2024)
-    widths = set()
-    for _ in range(400):
+    widths = [1, 2, 300] + [rng.randint(1, 40) for _ in range(60)]
+    widths += [rng.randint(41, 300) for _ in range(6)]
+    for width in widths:
         start = rng.randint(-30, 10)
-        d = start + rng.randint(0, 40)
-        values = tuple(rng.randint(-10**6, 10**6) for _ in range(d - start + 1))
-        widths.add(len(values))
-        direct = [
-            sum(comb(d - j, k - j) * values[j - start] for j in range(start, k + 1))
-            for k in range(start, d + 1)
-        ]
-        assert reconstruct(BetaTable(d, start, values)) == direct
-    assert min(widths) <= MAX_CACHED_INVERSE < max(widths)
-    info = _inverse_matrix.cache_info()
-    assert info.maxsize == 16 and info.currsize <= 16
-    # a row past the cap is inverted without entering the cache
-    _inverse_matrix.cache_clear()
-    reconstruct(BetaTable(MAX_CACHED_INVERSE, 0, (1,) * (MAX_CACHED_INVERSE + 1)))
-    assert _inverse_matrix.cache_info().currsize == 0
+        values = tuple(rng.randint(-10**6, 10**6) for _ in range(width))
+        table = BetaTable(start + width - 1, start, values)
+        assert reconstruct(table) == closed_form_reconstruct(table)
 
 
 def test_bounds():
@@ -341,6 +327,14 @@ def test_kernel_rows_match_closed_form(flip, h, extra):
     assert [d for d, _ in rows] == list(range(low, top + 1))
     for d, row in rows:
         assert row == closed_form_row(h, d, flip)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=functions, width=st.integers(0, 30))
+def test_reconstruct_inverts_kernel_rows(h, width):
+    d = h.k0 + width
+    with _flip_env(False):
+        assert reconstruct(beta_table(h, d)) == h.values(h.k0, d)
 
 
 @pytest.mark.parametrize("flip", [False, True])

@@ -1,7 +1,8 @@
 """Exact hypergeometric values, the derivative table, and their links.
 
-Oracles: a second summation formula for the Gauss values, convolution-built
-power series for the table rows, and hand-checked small integers.
+Oracles: a second summation formula for the Gauss values, the power series
+of (1 - x^2)^(-n) for the table rows (held in turn to a direct
+convolution), and hand-checked small integers.
 """
 
 from fractions import Fraction
@@ -47,6 +48,29 @@ def gauss_term_oracle(k, n):
         if j < k:
             term *= Fraction((-k + j) * (n + j) * (-1), (-n + j) * (j + 1))
     return total
+
+
+def convolution_square_series(n, order):
+    """Coefficients of (1 - x^2)^(-n) up to x^order by n convolutions with
+    1 + x^2 + x^4 + ..."""
+    base = [1 if i % 2 == 0 else 0 for i in range(order + 1)]
+    result = [1] + [0] * order
+    for _ in range(n):
+        result = [
+            sum(result[i] * base[d - i] for i in range(d + 1))
+            for d in range(order + 1)
+        ]
+    return result
+
+
+def test_geometric_square_series_matches_convolution():
+    for n in range(9):
+        for order in (0, 1, 2, 5, 12):
+            assert geometric_square_series(n, order) == convolution_square_series(
+                n, order
+            )
+    # the coefficient of x^(2i) is C(n + i - 1, i), and odd ones vanish
+    assert geometric_square_series(3, 6) == [1, 0, 3, 0, 6, 0, 10]
 
 
 def series_product_oracle(n, krow, order):

@@ -2,6 +2,7 @@
 
 import inspect
 import random
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from hilbertdepth import (
     shift,
     verify,
 )
-from hilbertdepth.depth import FLIP_BETA_ENV, BetaTable, reconstruct
+from hilbertdepth.depth import FLIP_BETA_ENV, BetaTable
 from hilbertdepth.errors import OutOfRangeError
 from hilbertdepth.report import VerificationReport, Violation
 from hilbertdepth.series import scale
@@ -28,7 +29,7 @@ from hilbertdepth.verify import (
     run_battery,
 )
 
-from closed_form import closed_form_beta, closed_form_row
+from closed_form import closed_form_beta, closed_form_reconstruct, closed_form_row
 
 
 def test_every_battery_runs_green():
@@ -304,7 +305,7 @@ def structural_reference(trials, seed, flip):
         k0 = h.k0
         for d in range(k0, k0 + 13):
             row = tuple(closed_form_row(h, d, flip))
-            recovered = reconstruct(BetaTable(d, k0, row))
+            recovered = closed_form_reconstruct(BetaTable(d, k0, row))
             bad = next(
                 (k for k in range(k0, d + 1) if recovered[k - k0] != h.evaluate(k)),
                 None,
@@ -460,6 +461,30 @@ def test_batteries_check_the_kernel(monkeypatch):
     monkeypatch.setattr(depth, "_rows", mutant)
     assert run_battery("beta-identity").violations
     assert run_battery("structural").violations
+
+
+def test_structural_checks_the_inversion(monkeypatch):
+    # an inverse that shifts the third recovered entry of every row with 5
+    # or more entries: rows d = k0 + 4..k0 + 12 of each case must fail the
+    # inversion law at k = k0 + 2, and no other law may fail
+    clean = verify.reconstruct
+
+    def mutant(table):
+        recovered = clean(table)
+        if len(recovered) >= 5:
+            recovered[2] += 1
+        return recovered
+
+    monkeypatch.delenv(FLIP_BETA_ENV, raising=False)
+    monkeypatch.setattr(verify, "reconstruct", mutant)
+    report = run_battery("structural", trials=20)
+    assert len(report.violations) == 20 * 9
+    for violation in report.violations:
+        law = re.search(r" inversion d=(-?\d+) k=(-?\d+)$", violation.case)
+        assert law, violation.case
+        d, k = map(int, law.groups())
+        assert 2 <= d - k <= 10
+        assert int(violation.actual) == int(violation.expected) + 1
 
 
 def test_clean_batteries_build_no_descriptor(monkeypatch):
