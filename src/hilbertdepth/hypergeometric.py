@@ -174,8 +174,9 @@ def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
             e = big_e(n, k)
             if e <= 0:
                 violations.append(Violation(f"n={n} k={k} big_e", "> 0", str(e)))
-            for j in range(n + 1):
-                signed = (-1) ** j * table.value(k, j)
+            sign = 1
+            for j, c in enumerate(table.rows[k - 1]):
+                signed, sign = sign * c, -sign
                 if signed <= 0:
                     violations.append(
                         Violation(f"n={n} k={k} j={j} c sign", "> 0", str(signed))

@@ -9,10 +9,12 @@ free modules with shifts, complete intersections - produces such a form, and
 the class is closed under pointwise sum, integer scaling, degree shift, and
 adjoining one variable (prefix sums).
 
-A complete intersection's numerator is built on a dense coefficient list,
-one prefix-sum pass per form, so r forms with T numerator terms cost
-O(r*T) big-integer additions; MAX_CI_TERMS caps T and MAX_CI_WORK caps r*T
-before any list exists.
+A complete intersection's numerator is palindromic, so it is built on the
+lower half of a dense coefficient list: one prefix-sum pass per form of
+degree > 1, smallest forms first, each over about half of the partial
+product, and one mirror at the end.  r forms with T numerator terms cost at
+most r*T big-integer additions, O(r*T); MAX_CI_TERMS caps T and MAX_CI_WORK
+caps r*T before any list exists.
 ``HilbertFunction.values`` evaluates a window [lo, hi] exactly and without
 binomials from the T numerator terms with e <= hi: by p prefix-sum passes
 over the dense numerator on [min e, hi] while p <= PREFIX_ROUTE_RATIO * T,
@@ -43,12 +45,13 @@ from .errors import (
 )
 
 # Largest complete-intersection numerator built, in terms (1 + sum(d_i - 1)).
-# It bounds the list length only: at the cap, one form takes about 0.5 s and
-# 180 MiB, and each further form adds a pass over longer integers.
+# It bounds the list length only: at the cap, one form takes about 0.45 s and
+# 180 MiB, most of it the numerator mapping, and each further form adds a
+# pass over longer integers.
 MAX_CI_TERMS = 1 << 20
 # Largest build work, in terms times prefix-sum passes (forms of degree > 1),
-# an upper bound on the big-integer additions.  The heaviest benchmark
-# expressions need about 6 * 10^4.
+# an upper bound on the big-integer additions: a pass over the lower half
+# takes fewer than T.  The heaviest benchmark expressions need about 6 * 10^4.
 MAX_CI_WORK = 1 << 21
 # The measured crossover of the two ``values`` routes: timed over T = 1..300
 # and W = 4..300, they break even between p = 2T and p = 4T.
@@ -215,11 +218,17 @@ def complete_intersection(n: int, degrees: Iterable[int]) -> HilbertFunction:
     (1 - t)^(n - r).  Degree 1 contributes an empty factor; r = 0 gives the
     full ring.
 
-    Each factor is one prefix-sum pass over the dense coefficient list: the
-    new coefficient at k is pre[k] - pre[k - d], pre the running sums.  With
-    T = 1 + sum(d_i - 1) numerator terms that is O(r*T) big-integer
-    additions.  T above MAX_CI_TERMS, or T times the number of passes above
-    MAX_CI_WORK, raises BudgetExceededError before any list is built."""
+    Every factor is palindromic, so every partial product is too: c_k =
+    c_(top - k).  The build keeps only c_0..c_(top // 2), takes the forms in
+    ascending degree and mirrors once at the end.  A form of degree d > 1 is
+    one prefix-sum pass over the lower half of the new product: its
+    coefficient at k is pre[k] - pre[k - d], pre the running sums, and the
+    old coefficients it reads past the kept half are mirror images of kept
+    ones.  With T = 1 + sum(d_i - 1) numerator terms a pass takes fewer than
+    T big-integer additions, so r forms cost O(r*T).  The arguments are
+    checked in the given order first: T above MAX_CI_TERMS, or T times the
+    number of passes above MAX_CI_WORK, raises BudgetExceededError before
+    any list is built."""
     degree_list = list(degrees)
     if n < 1:
         raise InvalidArityError(f"need at least one variable, got {n}")
@@ -240,11 +249,18 @@ def complete_intersection(n: int, degrees: Iterable[int]) -> HilbertFunction:
         raise BudgetExceededError(
             f"numerator would take {work} term additions, above the cap {MAX_CI_WORK}"
         )
-    coeffs = [1]
-    for d in degree_list:
+    # half = c_0..c_(top // 2) of the palindromic partial product
+    half, top = [1], 0
+    for d in sorted(degree_list):
         if d > 1:
-            pre = list(accumulate(coeffs + [0] * (d - 1)))
-            coeffs = [*pre[:d], *map(sub, pre[d:], pre)]
+            old, top = top, top + d - 1
+            size = top // 2 + 1
+            # c_k past the old half is its mirror c_(old - k), zero past old
+            coeffs = half + half[max(0, old - size + 1):old - old // 2][::-1]
+            coeffs += [0] * (size - len(coeffs))
+            pre = list(accumulate(coeffs))
+            half = [*pre[:d], *map(sub, pre[d:], pre)]
+    coeffs = half + half[:top - top // 2][::-1]
     return HilbertFunction(dict(enumerate(coeffs)), n - len(degree_list))
 
 

@@ -184,6 +184,9 @@ def test_complete_intersection_errors():
         complete_intersection(2, [2, 2, 2])
     with pytest.raises(InvalidDegreeError):
         complete_intersection(3, [2, 0])
+    # validation reads the forms in the given order, before any sorting
+    with pytest.raises(InvalidDegreeError, match="degree 0 "):
+        complete_intersection(3, [5, 0, -1])
 
 
 def test_finite_ci_total_mass():
@@ -384,15 +387,27 @@ def ci_product_oracle(n, degrees):
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 12).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, 12), max_size=n))
-    )
+        lambda n: st.tuples(
+            st.just(n),
+            # degrees up to 25 let a pass read up to 12 entries past the old
+            # half; about one form in six has degree 1
+            st.lists(st.integers(-3, 25).map(lambda d: max(d, 1)), max_size=n),
+        )
+    ),
+    st.randoms(use_true_random=False),
 )
-def test_complete_intersection_matches_product_oracle(case):
+def test_complete_intersection_matches_product_oracle(case, rng):
     n, degrees = case
     h = complete_intersection(n, degrees)
     expected = ci_product_oracle(n, degrees)
     assert h == expected
     assert h.to_json_dict() == expected.to_json_dict()
+    top = sum(d - 1 for d in degrees)
+    coeffs = [h.numerator.get(k, 0) for k in range(top + 1)]
+    assert coeffs == coeffs[::-1]
+    shuffled = list(degrees)
+    rng.shuffle(shuffled)
+    assert complete_intersection(n, shuffled) == h
 
 
 def test_complete_intersection_large_matches_product_oracle():
