@@ -50,13 +50,16 @@ import os
 from operator import add, sub
 from typing import Iterator, NamedTuple
 
-from .errors import NegativeValueError, OutOfRangeError
+from .errors import BudgetExceededError, NegativeValueError, OutOfRangeError
 from .series import HilbertFunction
 
 # Fault-injection hook for end-to-end tests of the violation path: when this
 # environment variable is set (nonempty), every beta value with k == d > k0
 # is negated, which makes the verification batteries report violations.
 FLIP_BETA_ENV = "HILBERTDEPTH_FLIP_BETA"
+# Widest window of values read, in degrees, checked before any list exists.
+# The CLI answers table(0:1,1:3000000), whose window is 3 * 10^6 + 1 wide.
+MAX_WINDOW = 1 << 22
 
 
 class BetaTable(NamedTuple):
@@ -123,6 +126,17 @@ def _rows(
         yield start + i, [*row[:-1], -row[-1]] if flip else row
 
 
+def _window(h: HilbertFunction, lo: int, hi: int) -> list[int]:
+    """h(lo), ..., h(hi); a window wider than MAX_WINDOW raises
+    BudgetExceededError before any value is read."""
+    width = hi - lo + 1
+    if width > MAX_WINDOW:
+        raise BudgetExceededError(
+            f"window of {width} degrees is above the cap {MAX_WINDOW}"
+        )
+    return h.values(lo, hi)
+
+
 def beta_rows(
     evals: list[int], start: int, top: int
 ) -> Iterator[tuple[int, list[int]]]:
@@ -156,11 +170,12 @@ def scan(
 
 
 def beta_table(h: HilbertFunction, d: int) -> BetaTable:
-    """All entries beta(d, k) for k0(h) <= k <= d: the kernel's row d."""
+    """All entries beta(d, k) for k0(h) <= k <= d: the kernel's row d.  A
+    window [k0, d] wider than MAX_WINDOW raises BudgetExceededError."""
     k0 = h.k0
     if d < k0:
         raise OutOfRangeError(f"d={d} is below k0={k0}")
-    evals = h.values(k0, d)
+    evals = _window(h, k0, d)
     for _, row in beta_rows(evals, k0, d):
         pass
     return BetaTable(d, k0, tuple(row))
@@ -207,10 +222,11 @@ def bounds(h: HilbertFunction) -> tuple[int, int]:
 def qdepth(h: HilbertFunction) -> QDepthResult:
     """Largest d whose beta row is nonnegative, with certificate.
 
-    A negative value in the window raises ``NegativeValueError``; the rows
-    are scanned from k0 up to the first negative one.  d = k0 is always
+    A negative value in the window raises ``NegativeValueError``, and a
+    window wider than MAX_WINDOW ``BudgetExceededError``; the rows are
+    scanned from k0 up to the first negative one.  d = k0 is always
     feasible because beta(k0, k0) = h(k0) > 0.
     """
     low, high = bounds(h)
-    evals = h.values(low, high)
+    evals = _window(h, low, high)
     return scan(evals, low, low, high, _flip_active())

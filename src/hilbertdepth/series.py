@@ -7,7 +7,9 @@ numerator coefficient is strictly positive (it equals h at the first nonzero
 degree).  Every construction used here - finite tables, polynomial rings,
 free modules with shifts, complete intersections - produces such a form, and
 the class is closed under pointwise sum, integer scaling, degree shift, and
-adjoining one variable (prefix sums).
+adjoining one variable (prefix sums).  A sum lifts the T-term numerator
+over the lower power by the j + 1 entries of the binomial row of (1 - t)^j,
+j the gap between the powers: O(T (j + 1)) products, sparse in the exponents.
 
 A complete intersection's numerator is palindromic, so it is built on the
 lower half of a dense coefficient list: one prefix-sum pass per form of
@@ -56,13 +58,6 @@ MAX_CI_WORK = 1 << 21
 # The measured crossover of the two ``values`` routes: timed over T = 1..300
 # and W = 4..300, they break even between p = 2T and p = 4T.
 PREFIX_ROUTE_RATIO = 3
-
-
-def _times_one_minus_t(num: Mapping[int, int]) -> dict[int, int]:
-    out = dict(num)
-    for e, c in num.items():
-        out[e + 1] = out.get(e + 1, 0) - c
-    return out
 
 
 class HilbertFunction:
@@ -145,18 +140,22 @@ class HilbertFunction:
         return out
 
     def __add__(self, other: HilbertFunction) -> HilbertFunction:
+        """Pointwise sum: b_i c_e added at e + i for each term c_e of the
+        lower-power numerator and each b_i = (-1)^i C(j, i) of (1 - t)^j, j
+        the gap between the powers; T terms cost O(T (j + 1)) products."""
         if not isinstance(other, HilbertFunction):
             return NotImplemented
-        p = max(self.denom_power, other.denom_power)
-        num1, num2 = self.numerator, other.numerator
-        for _ in range(p - self.denom_power):
-            num1 = _times_one_minus_t(num1)
-        for _ in range(p - other.denom_power):
-            num2 = _times_one_minus_t(num2)
-        total = dict(num1)
-        for e, c in num2.items():
-            total[e] = total.get(e, 0) + c
-        return HilbertFunction(total, p)
+        high, low = self, other
+        if high.denom_power < low.denom_power:
+            high, low = low, high
+        j = high.denom_power - low.denom_power
+        total = dict(high.numerator)
+        b = 1
+        for i in range(j + 1):
+            for e, c in low.numerator.items():
+                total[e + i] = total.get(e + i, 0) + b * c
+            b = -b * (j - i) // (i + 1)
+        return HilbertFunction(total, high.denom_power)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HilbertFunction):

@@ -195,6 +195,20 @@ def test_qdepth_stops_at_first_negative_row():
     assert "refutation: beta at d=2, k=2 is -2999999" in proc.stdout
 
 
+def test_oversized_window_exit_2():
+    huge = "100000000000000000000"
+    for spec in [
+        f"poly({huge})",
+        f"ci({huge};)",
+        f"free({huge}; 0)",
+        f"table(0:1,1:{huge})",
+        f"extend(table(0:1,1:{huge}))",
+    ]:
+        assert_one_line_exit_2(run_cli("qdepth", spec), "above the cap 4194304")
+    proc = run_cli("beta", "poly(3)", "--d", huge)
+    assert_one_line_exit_2(proc, "above the cap 4194304")
+
+
 def test_hyp_output():
     proc = run_cli("hyp", "2")
     assert proc.returncode == 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hilbertdepth import (
+    BudgetExceededError,
     HilbertFunction,
     NegativeValueError,
     OutOfRangeError,
@@ -28,6 +29,7 @@ from hilbertdepth import (
 )
 from hilbertdepth.depth import (
     FLIP_BETA_ENV,
+    MAX_WINDOW,
     BetaTable,
     _rows,
     beta_rows,
@@ -244,6 +246,38 @@ def test_flip_hook_negates_diagonal(monkeypatch):
     assert list(flipped) == list(_rows(evals, 0, 3, True))
     assert list(beta_rows(evals, 0, 3)) == list(_rows(evals, 0, 3))
     assert beta(h, 3, 3) == clean
+
+
+def test_window_cap_raises_before_any_value_is_read(monkeypatch):
+    def unread(self, lo, hi):
+        raise AssertionError(f"values({lo}, {hi}) read past the window cap")
+
+    monkeypatch.setattr(HilbertFunction, "values", unread)
+    huge = 10**20
+    wide = [
+        polynomial_ring(huge),
+        complete_intersection(huge, []),
+        free_module(huge, [0]),
+        from_table({0: 1, 1: huge}),
+        extend(from_table({0: 1, 1: huge})),
+    ]
+    for h in wide:
+        with pytest.raises(BudgetExceededError, match=f"above the cap {MAX_WINDOW}"):
+            qdepth(h)
+    with pytest.raises(BudgetExceededError, match=f"above the cap {MAX_WINDOW}"):
+        beta_table(polynomial_ring(3), huge)
+
+
+def test_window_cap_boundary(monkeypatch):
+    # the CLI answers table(0:1,1:3000000), a window of 3 * 10^6 + 1
+    assert MAX_WINDOW >= 3_000_001
+    monkeypatch.setattr("hilbertdepth.depth.MAX_WINDOW", 5)
+    assert len(beta_table(polynomial_ring(3), 4).values) == 5
+    assert qdepth(from_table({0: 1, 1: 4})).upper_bound == 4
+    with pytest.raises(BudgetExceededError, match="window of 6 degrees"):
+        beta_table(polynomial_ring(3), 5)
+    with pytest.raises(BudgetExceededError, match="window of 6 degrees"):
+        qdepth(from_table({0: 1, 1: 5}))
 
 
 def test_qdepth_wide_polynomial_ring():

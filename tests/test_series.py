@@ -255,6 +255,60 @@ def test_add_pointwise_on_window():
             assert total.evaluate(k) == h1.evaluate(k) + h2.evaluate(k)
 
 
+def sum_by_passes_oracle(a, b):
+    """a + b with the lower-power numerator lifted one factor (1 - t) at a
+    time: each pass copies the sparse numerator and subtracts it one
+    exponent up."""
+    p = max(a.denom_power, b.denom_power)
+    total = Counter()
+    for h in (a, b):
+        num = dict(h.numerator)
+        for _ in range(p - h.denom_power):
+            lifted = dict(num)
+            for e, c in num.items():
+                lifted[e + 1] = lifted.get(e + 1, 0) - c
+            num = lifted
+        total.update(num)
+    return HilbertFunction(total, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(0, 40),
+    st.integers(-60, 60),
+    st.sampled_from(["random", "equal", "sparse"]),
+)
+def test_add_matches_pass_oracle(rng, j, m, shape):
+    from hilbertdepth.verify import random_hilbert_function
+
+    a = random_hilbert_function(rng)
+    for _ in range(j):
+        a = extend(a)
+    if shape == "sparse":
+        # numerator {m: 1, m + 10^6: 1}: a 10^6 exponent gap
+        b = shift(free_module(rng.randint(1, 4), [0, -10**6]), -m)
+    else:
+        b = shift(random_hilbert_function(rng), m)
+    if shape == "equal":
+        while b.denom_power < a.denom_power:
+            b = extend(b)
+        while a.denom_power < b.denom_power:
+            a = extend(a)
+    total = a + b
+    expected = sum_by_passes_oracle(a, b)
+    assert total == expected
+    assert total.to_json_dict() == expected.to_json_dict()
+    assert b + a == total
+
+
+def test_add_lifts_by_one_binomial_row():
+    total = from_table({0: 1}) + polynomial_ring(3000)
+    expected = {i: (-1) ** i * comb(3000, i) for i in range(1, 3001)}
+    assert total.denom_power == 3000
+    assert dict(total.numerator) == {0: 2, **expected}
+
+
 def test_scale():
     h = from_table({0: 2})
     assert scale(h, 1) == h
