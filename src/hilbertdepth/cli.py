@@ -192,8 +192,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if total == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, in subcommands too, leave by main's one-line exit 2."""
+
+    def error(self, message: str):
+        raise HilbertDepthError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hilbertdepth",
         description="Exact Hilbert depth of Hilbert functions, with certificates.",
     )
@@ -244,15 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # The parsers reject literals over MAX_LITERAL_DIGITS digits, so the
     # interpreter's cap on int <-> str conversion (CPython 3.10.7 and later)
     # is lifted while the command runs: exact results print at any size.
+    # It is lifted after parsing, so argparse's int() refuses an overlong
+    # flag value instead of converting it in quadratic time.
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if cap is not None:
-        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
+        if cap is not None:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except (HilbertDepthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

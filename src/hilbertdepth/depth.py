@@ -9,7 +9,8 @@ k0 <= k <= d is nonnegative.  The Hilbert depth is the largest feasible d;
 it always lies in the window [k0, k0 + floor(h1/h0)] where h0, h1 are the
 first two values of h.  ``bounds`` reads them off the numerator,
 h0 = c_k0 and h1 = c_(k0+1) + p c_k0, so ``qdepth`` reads h only over the
-window.  Row d is the prefix sums of row d + 1,
+window, in one ``values`` read held to ``series.MAX_WINDOW``.  Row d is
+the prefix sums of row d + 1,
 
     beta(d, k) = sum_{j = k0..k} beta(d + 1, j)     (k0 <= k <= d),
 
@@ -37,7 +38,7 @@ adds where the kernel subtracts and never calls the kernel, so the
 inversion check stays independent of it.
 
 The fault hook ``HILBERTDEPTH_FLIP_BETA`` is read only in this module,
-once per ``qdepth`` or ``beta_rows`` call, and applied only by the kernel.
+once, into ``FLIP`` when it is imported, and applied only by the kernel.
 It negates the reported diagonal entry k == d > k0 of each row; the kernel
 hands out a flipped copy and keeps recurring on the clean row.  Flipped
 rows are not prefix sums of each other, and the scan stops at the first
@@ -50,16 +51,14 @@ import os
 from operator import add, sub
 from typing import Iterator, NamedTuple
 
-from .errors import BudgetExceededError, NegativeValueError, OutOfRangeError
+from .errors import NegativeValueError, OutOfRangeError
 from .series import HilbertFunction
 
 # Fault-injection hook for end-to-end tests of the violation path: when this
 # environment variable is set (nonempty), every beta value with k == d > k0
 # is negated, which makes the verification batteries report violations.
 FLIP_BETA_ENV = "HILBERTDEPTH_FLIP_BETA"
-# Widest window of values read, in degrees, checked before any list exists.
-# The CLI answers table(0:1,1:3000000), whose window is 3 * 10^6 + 1 wide.
-MAX_WINDOW = 1 << 22
+FLIP = bool(os.environ.get(FLIP_BETA_ENV))
 
 
 class BetaTable(NamedTuple):
@@ -109,10 +108,6 @@ class QDepthResult(NamedTuple):
         }
 
 
-def _flip_active() -> bool:
-    return bool(os.environ.get(FLIP_BETA_ENV))
-
-
 def _rows(
     evals: list[int], start: int, top: int, flip: bool = False
 ) -> Iterator[tuple[int, list[int]]]:
@@ -126,22 +121,11 @@ def _rows(
         yield start + i, [*row[:-1], -row[-1]] if flip else row
 
 
-def _window(h: HilbertFunction, lo: int, hi: int) -> list[int]:
-    """h(lo), ..., h(hi); a window wider than MAX_WINDOW raises
-    BudgetExceededError before any value is read."""
-    width = hi - lo + 1
-    if width > MAX_WINDOW:
-        raise BudgetExceededError(
-            f"window of {width} degrees is above the cap {MAX_WINDOW}"
-        )
-    return h.values(lo, hi)
-
-
 def beta_rows(
     evals: list[int], start: int, top: int
 ) -> Iterator[tuple[int, list[int]]]:
-    """``_rows`` with the fault hook read once, when called."""
-    return _rows(evals, start, top, _flip_active())
+    """``_rows`` with the fault hook ``FLIP`` as it stands at the call."""
+    return _rows(evals, start, top, FLIP)
 
 
 def scan(
@@ -171,11 +155,11 @@ def scan(
 
 def beta_table(h: HilbertFunction, d: int) -> BetaTable:
     """All entries beta(d, k) for k0(h) <= k <= d: the kernel's row d.  A
-    window [k0, d] wider than MAX_WINDOW raises BudgetExceededError."""
+    window [k0, d] wider than MAX_WINDOW makes ``h.values`` raise."""
     k0 = h.k0
     if d < k0:
         raise OutOfRangeError(f"d={d} is below k0={k0}")
-    evals = _window(h, k0, d)
+    evals = h.values(k0, d)
     for _, row in beta_rows(evals, k0, d):
         pass
     return BetaTable(d, k0, tuple(row))
@@ -222,11 +206,11 @@ def bounds(h: HilbertFunction) -> tuple[int, int]:
 def qdepth(h: HilbertFunction) -> QDepthResult:
     """Largest d whose beta row is nonnegative, with certificate.
 
-    A negative value in the window raises ``NegativeValueError``, and a
-    window wider than MAX_WINDOW ``BudgetExceededError``; the rows are
-    scanned from k0 up to the first negative one.  d = k0 is always
-    feasible because beta(k0, k0) = h(k0) > 0.
+    The window is read by one ``h.values`` call, which raises on a negative
+    value or a window wider than MAX_WINDOW; the rows are scanned from k0
+    up to the first negative one.  d = k0 is always feasible because
+    beta(k0, k0) = h(k0) > 0.
     """
     low, high = bounds(h)
-    evals = _window(h, low, high)
-    return scan(evals, low, low, high, _flip_active())
+    evals = h.values(low, high)
+    return scan(evals, low, low, high, FLIP)

@@ -23,7 +23,8 @@ over the dense numerator on [min e, hi] while p <= PREFIX_ROUTE_RATIO * T,
 else by the S-convolution h(k) = sum_e c_e S[k - e], where
 S[j] = C(j + p - 1, p - 1) = S[j - 1] (j + p - 1) // j.  Both routes cost
 O(hi - min e) per pass or term, so a window far above k0 costs as much as
-the whole stretch up to it.
+the whole stretch up to it.  Every read, the depth scans' included, is
+refused before any list exists when that list would pass MAX_WINDOW.
 
 The zero function is unrepresentable by design; constructors raise
 EmptyFunctionError instead of building it.
@@ -55,6 +56,9 @@ MAX_CI_TERMS = 1 << 20
 # an upper bound on the big-integer additions: a pass over the lower half
 # takes fewer than T.  The heaviest benchmark expressions need about 6 * 10^4.
 MAX_CI_WORK = 1 << 21
+# Widest list ``values`` builds, in degrees, checked before any list exists.
+# The CLI answers table(0:1,1:3000000), whose window is 3 * 10^6 + 1 wide.
+MAX_WINDOW = 1 << 22
 # The measured crossover of the two ``values`` routes: timed over T = 1..300
 # and W = 4..300, they break even between p = 2T and p = 4T.
 PREFIX_ROUTE_RATIO = 3
@@ -106,17 +110,28 @@ class HilbertFunction:
         return max(self.numerator)
 
     def evaluate(self, k: int) -> int:
-        """Exact value h(k); always a nonnegative integer."""
+        """Exact value h(k) = values(k, k)[0], under its MAX_WINDOW cap;
+        always a nonnegative integer."""
         return self.values(k, k)[0]
 
     def values(self, lo: int, hi: int) -> list[int]:
         """Exact values h(lo), ..., h(hi), read from the numerator terms with
-        e <= hi; raises NegativeValueError at the first negative one."""
+        e <= hi; raises NegativeValueError at the first negative one, and
+        BudgetExceededError before any list is built when the longest one,
+        hi - min(lo, base) + 1 with base the lowest such e (else lo), would
+        be wider than MAX_WINDOW.  hi < lo gives []."""
+        if hi < lo:
+            return []
         terms = [(e, c) for e, c in self.numerator.items() if e <= hi]
-        if not terms or hi < lo:
-            return [0] * max(0, hi - lo + 1)
+        base = min(terms)[0] if terms else lo
+        width = hi - min(lo, base) + 1
+        if width > MAX_WINDOW:
+            raise BudgetExceededError(
+                f"window of {width} degrees is above the cap {MAX_WINDOW}"
+            )
+        if not terms:
+            return [0] * width
         p = self.denom_power
-        base = min(terms)[0]
         if p <= PREFIX_ROUTE_RATIO * len(terms):
             # p prefix-sum passes over the dense numerator on [base, hi]
             dense = [0] * (hi - base + 1)

@@ -66,6 +66,14 @@ def test_parse_error_exit_2():
     proc = run_cli("qdepth", "poly(3")
     assert proc.returncode == 2
     assert "position" in proc.stderr
+    # argparse's own errors take the same one-line path as every bad input
+    for argv, message in (
+        (("beta", "poly(3)", "--d", "3.5"), "invalid int value: '3.5'"),
+        (("qdepth",), "required: spec"),
+        (("nope",), "invalid choice: 'nope'"),
+        (("sqf", "x", "x1"), "invalid int value: 'x'"),
+    ):
+        assert_one_line_exit_2(run_cli(*argv), message)
 
 
 def test_deep_nesting_exit_2():
@@ -438,6 +446,9 @@ def test_main_restores_the_digit_cap(monkeypatch, capsys):
 
     before = sys.get_int_max_str_digits()
     assert main(["qdepth", "poly(2)"]) == 0
+    assert sys.get_int_max_str_digits() == before
+    # a usage error returns 2 from main, with no SystemExit
+    assert main(["beta", "poly(3)", "--d", "3.5"]) == 2
     assert sys.get_int_max_str_digits() == before
     # interpreters before 3.10.7 have no cap to lift
     monkeypatch.delattr(sys, "get_int_max_str_digits")

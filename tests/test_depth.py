@@ -27,13 +27,8 @@ from hilbertdepth import (
     scale,
     shift,
 )
-from hilbertdepth.depth import (
-    FLIP_BETA_ENV,
-    MAX_WINDOW,
-    BetaTable,
-    _rows,
-    beta_rows,
-)
+from hilbertdepth.depth import BetaTable, _rows, beta_rows
+from hilbertdepth.series import MAX_WINDOW
 from hilbertdepth.verify import random_hilbert_function
 
 from closed_form import closed_form_beta, closed_form_reconstruct, closed_form_row
@@ -233,7 +228,7 @@ def test_parity_of_extended_diagonal():
 def test_flip_hook_negates_diagonal(monkeypatch):
     h = polynomial_ring(3)
     clean = beta(h, 3, 3)
-    monkeypatch.setenv(FLIP_BETA_ENV, "1")
+    monkeypatch.setattr("hilbertdepth.depth.FLIP", True)
     assert beta(h, 3, 3) == -clean
     assert qdepth(h).qdepth == 0
     # flipped rows are not prefix sums of each other: the scan stops at the
@@ -242,17 +237,15 @@ def test_flip_hook_negates_diagonal(monkeypatch):
     assert (result.qdepth, result.refutation) == (0, (1, 1, -1))
     evals = h.values(0, 3)
     flipped = beta_rows(evals, 0, 3)  # the hook is read here, at the call
-    monkeypatch.delenv(FLIP_BETA_ENV)
+    monkeypatch.setattr("hilbertdepth.depth.FLIP", False)
     assert list(flipped) == list(_rows(evals, 0, 3, True))
     assert list(beta_rows(evals, 0, 3)) == list(_rows(evals, 0, 3))
     assert beta(h, 3, 3) == clean
 
 
-def test_window_cap_raises_before_any_value_is_read(monkeypatch):
-    def unread(self, lo, hi):
-        raise AssertionError(f"values({lo}, {hi}) read past the window cap")
-
-    monkeypatch.setattr(HilbertFunction, "values", unread)
+def test_window_cap_raises_before_any_value_is_read():
+    # an unguarded list of 10^20 entries raises OverflowError, so a
+    # BudgetExceededError shows that the cap was checked before any list
     huge = 10**20
     wide = [
         polynomial_ring(huge),
@@ -261,23 +254,46 @@ def test_window_cap_raises_before_any_value_is_read(monkeypatch):
         from_table({0: 1, 1: huge}),
         extend(from_table({0: 1, 1: huge})),
     ]
-    for h in wide:
+    reads = [lambda h=h: qdepth(h) for h in wide] + [
+        lambda: beta_table(polynomial_ring(3), huge),
+        lambda: polynomial_ring(3).evaluate(huge),
+        lambda: polynomial_ring(3).values(0, huge),
+        lambda: from_table({0: 1}).values(-huge, 0),
+        # no numerator term at or below hi: the width is hi - lo + 1
+        lambda: from_table({5: 1}).values(-huge, 0),
+    ]
+    for read in reads:
         with pytest.raises(BudgetExceededError, match=f"above the cap {MAX_WINDOW}"):
-            qdepth(h)
-    with pytest.raises(BudgetExceededError, match=f"above the cap {MAX_WINDOW}"):
-        beta_table(polynomial_ring(3), huge)
+            read()
 
 
 def test_window_cap_boundary(monkeypatch):
     # the CLI answers table(0:1,1:3000000), a window of 3 * 10^6 + 1
     assert MAX_WINDOW >= 3_000_001
-    monkeypatch.setattr("hilbertdepth.depth.MAX_WINDOW", 5)
+    monkeypatch.setattr("hilbertdepth.series.MAX_WINDOW", 5)
     assert len(beta_table(polynomial_ring(3), 4).values) == 5
     assert qdepth(from_table({0: 1, 1: 4})).upper_bound == 4
     with pytest.raises(BudgetExceededError, match="window of 6 degrees"):
         beta_table(polynomial_ring(3), 5)
     with pytest.raises(BudgetExceededError, match="window of 6 degrees"):
         qdepth(from_table({0: 1, 1: 5}))
+    # at the cap and one past it, on both routes of ``values``: the prefix
+    # passes (a table, p = 0) and the S-convolution (p = 9 > 3 * 1 term)
+    table, ring = from_table({0: 1, 2: 3}), polynomial_ring(9)
+    assert table.values(0, 4) == [1, 0, 3, 0, 0]
+    assert ring.values(0, 4) == [comb(8 + k, k) for k in range(5)]
+    for h in (table, ring):
+        with pytest.raises(BudgetExceededError, match="window of 6 degrees"):
+            h.values(0, 5)
+        assert h.values(10, 5) == []
+    # lo below the lowest term: the zeros before it count toward the width
+    assert ring.values(-2, 2) == [0, 0, 1, 9, 45]
+    with pytest.raises(BudgetExceededError, match="window of 6 degrees"):
+        ring.values(-3, 2)
+    # the width runs from the lowest term even when lo lies above it
+    assert ring.values(4, 4) == [comb(12, 4)]
+    with pytest.raises(BudgetExceededError, match="window of 6 degrees"):
+        ring.evaluate(5)
 
 
 def test_qdepth_wide_polynomial_ring():
@@ -314,11 +330,9 @@ functions = st.recursive(
 
 
 @contextmanager
-def _flip_env(flip):
+def _flipped(flip):
     with pytest.MonkeyPatch.context() as mp:
-        mp.delenv(FLIP_BETA_ENV, raising=False)
-        if flip:
-            mp.setenv(FLIP_BETA_ENV, "1")
+        mp.setattr("hilbertdepth.depth.FLIP", flip)
         yield
 
 
@@ -367,7 +381,7 @@ def test_kernel_rows_match_closed_form(flip, h, extra):
 @given(h=functions, width=st.integers(0, 30))
 def test_reconstruct_inverts_kernel_rows(h, width):
     d = h.k0 + width
-    with _flip_env(False):
+    with _flipped(False):
         assert reconstruct(beta_table(h, d)) == h.values(h.k0, d)
 
 
@@ -377,7 +391,7 @@ def test_reconstruct_inverts_kernel_rows(h, width):
 def test_scans_match_reference_scan(flip, h):
     low, high = bounds(h)
     assume(high - low <= 24)
-    with _flip_env(flip):
+    with _flipped(flip):
         feasible, best, values, refutation = reference_scan(h, flip)
         result = qdepth(h)
         if not flip:

@@ -300,6 +300,7 @@ def test_add_matches_pass_oracle(rng, j, m, shape):
     assert total == expected
     assert total.to_json_dict() == expected.to_json_dict()
     assert b + a == total
+    assert hash(a + b) == hash(b + a)
 
 
 def test_add_lifts_by_one_binomial_row():
@@ -357,6 +358,9 @@ def test_canonical_form_idempotent():
     assert inflated == h
     rebuilt = HilbertFunction(h.numerator, h.denom_power)
     assert rebuilt == h
+    # equal functions hash alike, whichever constructor built them
+    assert hash(HilbertFunction({0: 1, 1: -1}, 1)) == hash(from_table({0: 1}))
+    assert hash(extend(from_table({0: 1}))) == hash(polynomial_ring(1))
 
 
 def test_pointwise_equal_routes_share_canonical_form():

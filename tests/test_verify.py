@@ -17,7 +17,7 @@ from hilbertdepth import (
     shift,
     verify,
 )
-from hilbertdepth.depth import FLIP_BETA_ENV, BetaTable
+from hilbertdepth.depth import BetaTable
 from hilbertdepth.errors import OutOfRangeError
 from hilbertdepth.report import VerificationReport, Violation
 from hilbertdepth.series import scale
@@ -402,10 +402,7 @@ def _same_report(report, reference):
 
 @pytest.mark.parametrize("flip", [False, True], ids=["clean", "flipped"])
 def test_window_batteries_match_per_entry_reference(monkeypatch, flip):
-    if flip:
-        monkeypatch.setenv(FLIP_BETA_ENV, "1")
-    else:
-        monkeypatch.delenv(FLIP_BETA_ENV, raising=False)
+    monkeypatch.setattr(depth, "FLIP", flip)
     for seed in (271828, 5):
         structural = run_battery("structural", trials=60, seed=seed)
         assert _same_report(structural, structural_reference(60, seed, flip))
@@ -425,10 +422,7 @@ def test_window_batteries_match_per_entry_reference(monkeypatch, flip):
 
 @pytest.mark.parametrize("flip", [False, True], ids=["clean", "flipped"])
 def test_depth_law_batteries_match_per_case_reference(monkeypatch, flip):
-    if flip:
-        monkeypatch.setenv(FLIP_BETA_ENV, "1")
-    else:
-        monkeypatch.delenv(FLIP_BETA_ENV, raising=False)
+    monkeypatch.setattr(depth, "FLIP", flip)
     for max_n in (0, 1, 3, 9):
         report = run_battery("polyring", max_n=max_n)
         assert _same_report(report, polyring_reference(max_n))
@@ -457,7 +451,7 @@ def test_batteries_check_the_kernel(monkeypatch):
                 row[-1] += 1
             yield d, row
 
-    monkeypatch.delenv(FLIP_BETA_ENV, raising=False)
+    monkeypatch.setattr(depth, "FLIP", False)
     monkeypatch.setattr(depth, "_rows", mutant)
     assert run_battery("beta-identity").violations
     assert run_battery("structural").violations
@@ -475,7 +469,7 @@ def test_structural_checks_the_inversion(monkeypatch):
             recovered[2] += 1
         return recovered
 
-    monkeypatch.delenv(FLIP_BETA_ENV, raising=False)
+    monkeypatch.setattr(depth, "FLIP", False)
     monkeypatch.setattr(verify, "reconstruct", mutant)
     report = run_battery("structural", trials=20)
     assert len(report.violations) == 20 * 9
@@ -495,11 +489,11 @@ def test_clean_batteries_build_no_descriptor(monkeypatch):
         calls.append(h)
         return _describe(h)
 
-    monkeypatch.delenv(FLIP_BETA_ENV, raising=False)
+    monkeypatch.setattr(depth, "FLIP", False)
     monkeypatch.setattr(verify, "_describe", counted)
     for name in BATTERIES:
         assert run_battery(name).passed
     assert calls == []
-    monkeypatch.setenv(FLIP_BETA_ENV, "1")
+    monkeypatch.setattr(depth, "FLIP", True)
     assert not run_battery("structural", trials=5).passed
     assert calls
