@@ -29,6 +29,10 @@ from .squarefree import (
 from .verify import BATTERIES, DEFAULT_SEED, run_battery
 
 
+# Longest error message printed whole; a longer one keeps its head and tail.
+MAX_MESSAGE = 500
+
+
 def _read_arg(value: str) -> str:
     """Literal argument, or the contents of a UTF-8 file when prefixed with @.
 
@@ -263,7 +267,12 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(0)
         return args.func(args)
     except (HilbertDepthError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if len(message) > MAX_MESSAGE:
+            # an echoed input can be any length; the tail keeps the position
+            half = MAX_MESSAGE // 2
+            message = f"{message[:half]}...{message[-half:]}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
     finally:
         if cap is not None:

@@ -9,8 +9,9 @@ k0 <= k <= d is nonnegative.  The Hilbert depth is the largest feasible d;
 it always lies in the window [k0, k0 + floor(h1/h0)] where h0, h1 are the
 first two values of h.  ``bounds`` reads them off the numerator,
 h0 = c_k0 and h1 = c_(k0+1) + p c_k0, so ``qdepth`` reads h only over the
-window, in one ``values`` read held to ``series.MAX_WINDOW``.  Row d is
-the prefix sums of row d + 1,
+window, in one ``values`` read held to ``series.MAX_WINDOW``, and
+``scan`` reads the window back off those values.  Row d is the prefix sums
+of row d + 1,
 
     beta(d, k) = sum_{j = k0..k} beta(d + 1, j)     (k0 <= k <= d),
 
@@ -48,10 +49,11 @@ one with a negative entry.
 from __future__ import annotations
 
 import os
+from itertools import islice
 from operator import add, sub
 from typing import Iterator, NamedTuple
 
-from .errors import NegativeValueError, OutOfRangeError
+from .errors import EmptyFunctionError, NegativeValueError, OutOfRangeError
 from .series import HilbertFunction
 
 # Fault-injection hook for end-to-end tests of the violation path: when this
@@ -109,40 +111,44 @@ class QDepthResult(NamedTuple):
 
 
 def _rows(
-    evals: list[int], start: int, top: int, flip: bool = False
+    evals: list[int], start: int, flip: bool = False
 ) -> Iterator[tuple[int, list[int]]]:
-    """Yield (d, row) for d = start..top, row[k - start] = beta(d, k), from
-    values evals[j - start] = h(j).  With ``flip`` the diagonal of each row
-    past the first is negated in the yielded copy only."""
+    """Yield (d, row), row[k - start] = beta(d, k), for one d = start, ...
+    per value evals[j - start] = h(j).  With ``flip`` the diagonal of each
+    row past the first is negated in the yielded copy only."""
     row = [evals[0]]
     yield start, row
-    for i in range(1, top - start + 1):
+    for i in range(1, len(evals)):
         row = [row[0], *map(sub, row[1:], row), evals[i] - row[-1]]
         yield start + i, [*row[:-1], -row[-1]] if flip else row
 
 
-def beta_rows(
-    evals: list[int], start: int, top: int
-) -> Iterator[tuple[int, list[int]]]:
+def beta_rows(evals: list[int], start: int) -> Iterator[tuple[int, list[int]]]:
     """``_rows`` with the fault hook ``FLIP`` as it stands at the call."""
-    return _rows(evals, start, top, FLIP)
+    return _rows(evals, start, FLIP)
 
 
-def scan(
-    evals: list[int], start: int, low: int, high: int, flip: bool = False
-) -> QDepthResult:
-    """Depth scan over the values evals[j - start] = h(j), reported with the
-    window [low, high].
+def scan(evals: list[int], start: int, flip: bool = False) -> QDepthResult:
+    """Depth scan over nonnegative values evals[j - start] = h(j) in the
+    window [k0, k0 + h1 // h0] read off them: h0 is the first nonzero value,
+    at k0, and h1 the next one (0 past the end).  All zeros raise
+    EmptyFunctionError.
 
-    The rows d = start..min(high, start + len(evals) - 1) are walked up to
-    the first one with a negative entry; that row gives the refutation (d,
-    first negative k, beta) and the row before it the depth and certificate.
-    The row at start must be nonnegative.  With no negative row the last
-    row walked is the depth and the refutation is None.
+    The rows d = start, ... up to the window top or the last value are
+    walked up to the first one with a negative entry; that row gives the
+    refutation (d, first negative k, beta) and the row before it the depth
+    and certificate.  With no negative row the last row walked is the depth
+    and the refutation is None, below the window top on a short read.
     """
-    top = min(high, start + len(evals) - 1)
+    h0 = next(filter(None, evals), 0)
+    if not h0:
+        raise EmptyFunctionError("every value is zero")
+    first = evals.index(h0)
+    h1 = evals[first + 1] if first + 1 < len(evals) else 0
+    low = start + first
+    high = low + h1 // h0
     refutation = None
-    for d, row in _rows(evals, start, top, flip):
+    for d, row in islice(_rows(evals, start, flip), high - start + 1):
         if min(row) < 0:
             k = next(i for i, b in enumerate(row) if b < 0)
             refutation = (d, start + k, row[k])
@@ -159,8 +165,7 @@ def beta_table(h: HilbertFunction, d: int) -> BetaTable:
     k0 = h.k0
     if d < k0:
         raise OutOfRangeError(f"d={d} is below k0={k0}")
-    evals = h.values(k0, d)
-    for _, row in beta_rows(evals, k0, d):
+    for _, row in beta_rows(h.values(k0, d), k0):
         pass
     return BetaTable(d, k0, tuple(row))
 
@@ -212,5 +217,4 @@ def qdepth(h: HilbertFunction) -> QDepthResult:
     beta(k0, k0) = h(k0) > 0.
     """
     low, high = bounds(h)
-    evals = h.values(low, high)
-    return scan(evals, low, low, high, FLIP)
+    return scan(h.values(low, high), low, FLIP)

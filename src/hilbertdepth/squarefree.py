@@ -16,9 +16,9 @@ layer of the masks of that degree (see ``alpha_vector``).
 
 The depth computed directly from alpha agrees with the depth of that
 function; ``check_qdepth_match`` exercises the equivalence.  The alpha
-route has no transform of its own: it runs the early-exit scan of ``depth``
-from k = 0 over the alpha vector padded with one zero, at a cost of at most
-O(n^2) big-integer subtractions.  Row n + 1 of the padded vector always has
+route has no transform or window of its own: it runs the early-exit scan
+of ``depth`` from k = 0 over the alpha vector padded with one zero, at a
+cost of at most O(n^2) big-integer subtractions.  Row n + 1 of the padded vector always has
 a negative entry (its entries sum to h(n + 1) = 0, and were they all zero
 the inversion would give h = 0), so the scan stops by then.  It never
 applies the fault hook, so under ``HILBERTDEPTH_FLIP_BETA`` the two routes
@@ -34,7 +34,6 @@ from typing import Iterable, NamedTuple
 from .depth import QDepthResult, qdepth, scan
 from .errors import (
     MAX_LITERAL_DIGITS,
-    EmptyFunctionError,
     GenerationFailedError,
     InvalidQuotientError,
     OutOfRangeError,
@@ -155,7 +154,7 @@ def _popcount_layers(bits: int) -> tuple[int, ...]:
 _LAYERS = _popcount_layers(_CHUNK_BITS)
 
 
-def _members(ideal: SquarefreeIdeal, n: int) -> int:
+def _members(ideal: SquarefreeIdeal) -> int:
     """The 2^n-bit set of the ideal's monomials: bit m is set iff mask m is
     a multiple of some generator.
 
@@ -166,7 +165,7 @@ def _members(ideal: SquarefreeIdeal, n: int) -> int:
     members = 0
     for g in ideal.generators:
         multiples = 1
-        for i in range(n):
+        for i in range(ideal.n):
             step = 1 << i
             if g >> i & 1:
                 multiples <<= step
@@ -187,7 +186,7 @@ def alpha_vector(q: SquarefreeQuotient, max_vars: int | None = None) -> list[int
     """
     _resolve_cap(q.n, max_vars)
     n = q.n
-    members = _members(q.upper, n) & ~_members(q.lower, n)
+    members = _members(q.upper) & ~_members(q.lower)
     chunk_bytes = 1 << (_CHUNK_BITS - 3)
     chunks = 1 << max(n - _CHUNK_BITS, 0)
     data = members.to_bytes(chunks * chunk_bytes, "little")
@@ -205,15 +204,11 @@ def qdepth_from_alpha(alpha: list[int]) -> QDepthResult:
     first one with a negative entry (at the latest row n + 1).
 
     The rows start at k = 0, so certificate tables may carry leading zeros;
-    the reported window is the Hilbert-function one [k0, k0 + h1 // h0].
-    alpha counts as 0 past n, which the refutation row at n + 1 can reach.
-    An empty or all-zero vector raises EmptyFunctionError.
+    the reported window is the Hilbert-function one, which ``scan`` reads
+    off the vector.  alpha counts as 0 past n, which the refutation row at
+    n + 1 can reach.  An empty or all-zero vector raises EmptyFunctionError.
     """
-    k0 = next((k for k, a in enumerate(alpha) if a), None)
-    if k0 is None:
-        raise EmptyFunctionError("alpha vector has no nonzero entry")
-    h1 = alpha[k0 + 1] if k0 + 1 < len(alpha) else 0
-    return scan([*alpha, 0], 0, k0, k0 + h1 // alpha[k0])
+    return scan([*alpha, 0], 0)
 
 
 def check_qdepth_match(q: SquarefreeQuotient) -> bool:

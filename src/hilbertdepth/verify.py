@@ -233,19 +233,18 @@ def verify_free_modules(
     return _depth_law(cases())
 
 
-def _parity_law(
-    h: HilbertFunction, evals: list[int], extended: HilbertFunction, fail
-) -> None:
+def _parity_law(evals: list[int], extended: HilbertFunction, fail) -> None:
     """Top entry of the extended function's beta row at d equals the sum of
     h over degrees of the same parity as d, for d = k0..k0 + 10; the first
     d where it fails goes to the case's reporter ``fail``.
 
     The caller passes what it already has: h's values evals[j - k0] = h(j)
     from at least k0 to k0 + 10, and ``extended`` = extend(h), which it also
-    checks for depth.  The left side is the diagonal of one kernel pass over
-    the extended function's values, the right side a parity sum of evals."""
-    k0 = h.k0
-    for d, row in beta_rows(extended.values(k0, k0 + 10), k0, k0 + 10):
+    checks for depth and which keeps h's numerator, hence its k0.  The left
+    side is the diagonal of one kernel pass over the extended function's
+    values, the right side a parity sum of evals."""
+    k0 = extended.k0
+    for d, row in beta_rows(extended.values(k0, k0 + 10), k0):
         rhs = sum(evals[d - k0::-2])
         if row[-1] != rhs:
             fail(f"parity d={d}", rhs, row[-1])
@@ -265,7 +264,7 @@ def verify_extension(trials: int, seed: int) -> tuple[int, list[Violation]]:
         lifted = qdepth(extended).qdepth
         if lifted < base:
             fail("extension", f">= {base}", lifted)
-        _parity_law(h, h.values(h.k0, h.k0 + 10), extended, fail)
+        _parity_law(h.values(h.k0, h.k0 + 10), extended, fail)
     return trials, violations
 
 
@@ -323,12 +322,12 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
             fail("extension", f">= {d0}", lifted)
         k0 = h.k0
         evals = h.values(k0, k0 + 12)
-        for d, row in beta_rows(evals, k0, k0 + 12):
+        for d, row in beta_rows(evals, k0):
             recovered = reconstruct(BetaTable(d, k0, tuple(row)))
             if recovered != evals[: d - k0 + 1]:
                 i = next(i for i, v in enumerate(recovered) if v != evals[i])
                 fail(f"inversion d={d} k={k0 + i}", evals[i], recovered[i])
-        _parity_law(h, evals, extended, fail)
+        _parity_law(evals, extended, fail)
     return trials, violations
 
 
@@ -365,8 +364,8 @@ def verify_quotients(
     return produced, violations
 
 
-# Each battery's name, its function with its parameters in positional order,
-# and their default ranges; the order is the ``verify --all`` order.
+# Each battery's name, its function, and the default ranges of its
+# parameters by name; the table's order is the ``verify --all`` order.
 BATTERIES = {
     "polyring": (verify_polynomial_rings, {"max_n": 16}),
     "ci": (verify_complete_intersections, {"max_n": 5, "max_degree": 4}),
@@ -406,7 +405,7 @@ def run_battery(
     for param in ("max_n", "max_degree", "trials"):
         if given[param] is not None and given[param] < 0:
             raise OutOfRangeError(f"{param} must be nonnegative, got {given[param]}")
-    args = [given[p] if given[p] is not None else d for p, d in defaults.items()]
+    args = {p: d if given[p] is None else given[p] for p, d in defaults.items()}
     start = time.perf_counter()
-    cases, violations = battery(*args)
+    cases, violations = battery(**args)
     return VerificationReport(name, cases, violations, time.perf_counter() - start)

@@ -6,13 +6,9 @@ pass line once its criterion holds.
 """
 
 import json
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 
 from hilbertdepth import (
     beta,
@@ -23,7 +19,7 @@ from hilbertdepth import (
 )
 from hilbertdepth.verify import DEFAULT_SEED, run_battery
 
-REPO = Path(__file__).resolve().parents[1]
+from cli_runner import run_cli
 
 
 def _announce(number, name):
@@ -116,27 +112,12 @@ def test_criterion_10_worked_example():
     _announce(10, "one cubic in three variables has depth 3, no support cap")
 
 
-def _run_cli(*argv, flip=False):
-    env = os.environ.copy()
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("HILBERTDEPTH_FLIP_BETA", None)
-    if flip:
-        env["HILBERTDEPTH_FLIP_BETA"] = "1"
-    return subprocess.run(
-        [sys.executable, "-m", "hilbertdepth", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO,
-    )
-
-
 def test_criterion_11_cli_contract():
-    clean = _run_cli("verify", "--all")
+    clean = run_cli("verify", "--all")
     assert clean.returncode == 0, clean.stdout + clean.stderr
     assert "total violations: 0" in clean.stdout
 
-    broken = _run_cli("verify", "--all", "--json", flip=True)
+    broken = run_cli("verify", "--all", "--json", flip=True)
     assert broken.returncode == 1
     payload = json.loads(broken.stdout)
     assert payload["violationCount"] > 0

@@ -2,35 +2,11 @@
 
 import hashlib
 import json
-import os
 import re
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
-FLIP_ENV = "HILBERTDEPTH_FLIP_BETA"
-
-
-def run_python(*argv, flip=False, timeout=None):
-    env = os.environ.copy()
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop(FLIP_ENV, None)
-    if flip:
-        env[FLIP_ENV] = "1"
-    return subprocess.run(
-        [sys.executable, *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO,
-        timeout=timeout,
-    )
-
-
-def run_cli(*argv, flip=False, timeout=None):
-    return run_python("-m", "hilbertdepth", *argv, flip=flip, timeout=timeout)
+from cli_runner import run_cli, run_python
 
 
 def test_qdepth_poly():
@@ -454,6 +430,31 @@ def test_main_restores_the_digit_cap(monkeypatch, capsys):
     monkeypatch.delattr(sys, "get_int_max_str_digits")
     assert main(["qdepth", "poly(2)"]) == 0
     assert "qdepth:  2" in capsys.readouterr().out
+
+
+def test_long_error_lines_keep_head_and_tail(capsys):
+    from hilbertdepth.cli import MAX_MESSAGE, main
+
+    long = 100_000
+    for argv, tail in (
+        (["beta", "poly(3)", "--d", "1" * long], "1111'"),
+        (["x" * long], "(choose from 'qdepth', 'beta', 'sqf', 'hyp', 'verify')"),
+        (["verify", "y" * long], "yyyy']"),
+        (["qdepth", "a" * long + "(1)"], "' at position 0 (expected table or"
+                                          " poly or free or ci or shift or sum"
+                                          " or scale or extend)"),
+        (["sqf", "3", "y" * long], "' at position 0 (expected x<index>)"),
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and len(err) < 600
+        assert err.startswith("error: ") and err.endswith(tail + "\n")
+    # a message of MAX_MESSAGE characters prints whole, one more is cut
+    for extra in (0, 1):
+        name = "z" * (MAX_MESSAGE - len("unknown batteries ['']") + extra)
+        assert main(["verify", name]) == 2
+        whole = f"error: unknown batteries [{name!r}]\n"
+        assert (capsys.readouterr().err == whole) == (extra == 0)
 
 
 def test_sqf_max_vars_flag():

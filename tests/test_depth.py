@@ -27,7 +27,8 @@ from hilbertdepth import (
     scale,
     shift,
 )
-from hilbertdepth.depth import BetaTable, _rows, beta_rows
+from hilbertdepth import depth
+from hilbertdepth.depth import BetaTable, _rows, beta_rows, scan
 from hilbertdepth.series import MAX_WINDOW
 from hilbertdepth.verify import random_hilbert_function
 
@@ -236,10 +237,10 @@ def test_flip_hook_negates_diagonal(monkeypatch):
     result = qdepth(from_table({0: 1, 1: 2, 2: 1}))
     assert (result.qdepth, result.refutation) == (0, (1, 1, -1))
     evals = h.values(0, 3)
-    flipped = beta_rows(evals, 0, 3)  # the hook is read here, at the call
+    flipped = beta_rows(evals, 0)  # the hook is read here, at the call
     monkeypatch.setattr("hilbertdepth.depth.FLIP", False)
-    assert list(flipped) == list(_rows(evals, 0, 3, True))
-    assert list(beta_rows(evals, 0, 3)) == list(_rows(evals, 0, 3))
+    assert list(flipped) == list(_rows(evals, 0, True))
+    assert list(beta_rows(evals, 0)) == list(_rows(evals, 0))
     assert beta(h, 3, 3) == clean
 
 
@@ -371,7 +372,7 @@ def test_kernel_rows_match_closed_form(flip, h, extra):
     low, high = bounds(h)
     top = min(high, low + 24) + extra
     evals = [h.evaluate(j) for j in range(low, top + 1)]
-    rows = list(_rows(evals, low, top, flip))
+    rows = list(_rows(evals, low, flip))
     assert [d for d, _ in rows] == list(range(low, top + 1))
     for d, row in rows:
         assert row == closed_form_row(h, d, flip)
@@ -401,6 +402,34 @@ def test_scans_match_reference_scan(flip, h):
         assert result.certificate.start_k == h.k0
         assert result.refutation == refutation
         assert beta_table(h, best).values == values
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=functions, m=st.integers(1, 30))
+def test_scan_reads_its_window_off_a_prefix(h, m):
+    # any read that reaches h1 reports the whole window; one that reaches
+    # the top gives qdepth, and a shorter one with no negative row says so
+    # by a depth below the top and no refutation
+    low, high = bounds(h)
+    with _flipped(False):
+        full = qdepth(h)
+    result = scan(h.values(low, low + m), low)
+    assert (result.lower_bound, result.upper_bound) == (low, high)
+    if low + m >= high or full.qdepth < low + m:
+        assert result == full
+    else:
+        assert result.refutation is None
+        assert result.qdepth == low + m < result.upper_bound
+
+
+def test_qdepth_reports_the_window_of_its_values(monkeypatch):
+    # a bounds that over-reports its top by one widens the read only
+    cases = [polynomial_ring(n) for n in range(1, 9)]
+    cases += [complete_intersection(4, [3, 3, 2]), from_table({0: 1, 1: 3})]
+    expected = [qdepth(h) for h in cases]
+    clean = depth.bounds
+    monkeypatch.setattr(depth, "bounds", lambda h: (clean(h)[0], clean(h)[1] + 1))
+    assert [qdepth(h) for h in cases] == expected
 
 
 def alpha_beta_oracle(alpha, d, k):

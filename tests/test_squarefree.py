@@ -279,7 +279,7 @@ def test_beta_consistency_between_routes():
         def closed_form(d, k):
             return 0 if k < h.k0 else closed_form_beta(h, d, k)
 
-        for d, row in _rows([*alpha, 0], 0, n + 1):
+        for d, row in _rows([*alpha, 0], 0):
             assert row == [closed_form(d, k) for k in range(d + 1)]
         result = qdepth_from_alpha(alpha)
         certificate = result.certificate

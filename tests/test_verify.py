@@ -73,6 +73,14 @@ def test_batteries_table_is_the_one_source_of_parameters():
         assert all(p.default is inspect.Parameter.empty for p in params), name
 
 
+def test_batteries_take_their_defaults_by_name(monkeypatch):
+    battery, defaults = BATTERIES["free"]
+    expected = run_battery("free")
+    reordered = dict(reversed(defaults.items()))
+    monkeypatch.setitem(BATTERIES, "free", (battery, reordered))
+    assert _same_report(run_battery("free"), expected)
+
+
 def test_unknown_battery_raises():
     for name in ("nosuch", "lemma"):
         with pytest.raises(ValueError, match=name):
@@ -445,8 +453,8 @@ def test_batteries_check_the_kernel(monkeypatch):
     # must both see it
     clean = depth._rows
 
-    def mutant(evals, start, top, flip=False):
-        for d, row in clean(evals, start, top, flip):
+    def mutant(evals, start, flip=False):
+        for d, row in clean(evals, start, flip):
             if d == start + 3:
                 row[-1] += 1
             yield d, row
