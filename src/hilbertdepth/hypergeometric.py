@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .depth import beta
 from .errors import InvalidArityError, OutOfRangeError
-from .report import Violation
+from .report import Violation, equality_law
 from .series import polynomial_ring
 
 if TYPE_CHECKING:
@@ -50,10 +50,9 @@ def gauss_2f1(k: int, n: int) -> Fraction:
     fraction N / D (N <- b_j D + a_j N, D <- b_j D); a single Fraction is
     built at the end.
 
-    ``fractions`` is imported here, where the Fraction is built, and in
-    ``check_beta_identity``: importing it (and ``decimal`` with it) at
-    module level would add to every CLI start, and no other command
-    builds one.
+    ``fractions`` is imported here, where the Fraction is built, and
+    nowhere else: importing it (and ``decimal`` with it) at module level
+    would add to every CLI start, and no other command builds one.
     """
     from fractions import Fraction
 
@@ -189,22 +188,18 @@ def check_beta_identity(max_n: int) -> tuple[int, list[Violation]]:
 
     Exact rational equality of beta(polynomial_ring(n), n, k), entry k of
     the kernel's row n, and (-1)^k C(n, k) gauss_2f1(k, n) for all
-    0 <= k <= n <= max_n.  Under the fault hook the diagonal entries k = n
-    fail.
+    0 <= k <= n <= max_n, by ``equality_law``.  Under the fault hook the
+    diagonal entries k = n fail.
     """
-    from fractions import Fraction
 
-    violations: list[Violation] = []
-    cases = 0
-    for n in range(1, max_n + 1):
-        ring = polynomial_ring(n)
-        for k in range(n + 1):
-            cases += 1
-            lhs = Fraction(beta(ring, n, k))
-            rhs = (-1) ** k * comb(n, k) * gauss_2f1(k, n)
-            if lhs != rhs:
-                violations.append(Violation(f"n={n} k={k}", str(rhs), str(lhs)))
-    return cases, violations
+    def cases():
+        for n in range(1, max_n + 1):
+            ring = polynomial_ring(n)
+            for k in range(n + 1):
+                gauss = (-1) ** k * comb(n, k) * gauss_2f1(k, n)
+                yield f"n={n} k={k}", gauss, beta(ring, n, k)
+
+    return equality_law(cases())
 
 
 def check_derivative_link(max_n: int) -> tuple[int, list[Violation]]:
@@ -212,24 +207,16 @@ def check_derivative_link(max_n: int) -> tuple[int, list[Violation]]:
 
     Checks big_e(n, k) == (-1)^k c(k, k) for 2 <= k <= n <= max_n, and that
     row 1 of each table matches j! times the prefix-pass series of
-    (1 - x^2)^(-n).
+    (1 - x^2)^(-n), by ``equality_law``.
     """
-    violations: list[Violation] = []
-    cases = 0
-    for n in range(2, max_n + 1):
-        table = coeff_table(n, n, n)
-        series = geometric_square_series(n, n)
-        for j in range(n + 1):
-            cases += 1
-            expected = factorial(j) * series[j]
-            if table.value(1, j) != expected:
-                violations.append(
-                    Violation(f"n={n} row1 j={j}", str(expected), str(table.value(1, j)))
-                )
-        for k in range(2, n + 1):
-            cases += 1
-            lhs = big_e(n, k)
-            rhs = (-1) ** k * table.value(k, k)
-            if lhs != rhs:
-                violations.append(Violation(f"n={n} k={k}", str(rhs), str(lhs)))
-    return cases, violations
+
+    def cases():
+        for n in range(2, max_n + 1):
+            table = coeff_table(n, n, n)
+            series = geometric_square_series(n, n)
+            for j in range(n + 1):
+                yield f"n={n} row1 j={j}", factorial(j) * series[j], table.value(1, j)
+            for k in range(2, n + 1):
+                yield f"n={n} k={k}", (-1) ** k * table.value(k, k), big_e(n, k)
+
+    return equality_law(cases())

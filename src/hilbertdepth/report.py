@@ -3,12 +3,13 @@
 A ``Violation`` names one failing case by a descriptor that replays it, and
 a ``VerificationReport`` collects one battery's case count and violations.
 Both are immutable ``NamedTuple`` records: ``verify.run_battery`` builds
-each report once, and nothing updates it afterwards.
+each report once, and nothing updates it afterwards.  ``equality_law``
+checks the (case, expected, actual) triples of a law between two sides.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Violation(NamedTuple):
@@ -18,6 +19,19 @@ class Violation(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.case}: expected {self.expected}, got {self.actual}"
+
+
+def equality_law(
+    cases: Iterable[tuple[str, object, object]],
+) -> tuple[int, list[Violation]]:
+    """The count of (case, expected, actual) triples in the stream, and one
+    violation, with both sides as ``str``, per triple whose sides differ."""
+    count = 0
+    violations = []
+    for count, (case, expected, actual) in enumerate(cases, 1):
+        if expected != actual:
+            violations.append(Violation(case, str(expected), str(actual)))
+    return count, violations
 
 
 class VerificationReport(NamedTuple):

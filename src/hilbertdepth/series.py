@@ -18,13 +18,16 @@ product, and one mirror at the end.  r forms with T numerator terms cost at
 most r*T big-integer additions, O(r*T); MAX_CI_TERMS caps T and MAX_CI_WORK
 caps r*T before any list exists.
 ``HilbertFunction.values`` evaluates a window [lo, hi] exactly and without
-binomials from the T numerator terms with e <= hi: by p prefix-sum passes
-over the dense numerator on [min e, hi] while p <= PREFIX_ROUTE_RATIO * T,
-else by the S-convolution h(k) = sum_e c_e S[k - e], where
-S[j] = C(j + p - 1, p - 1) = S[j - 1] (j + p - 1) // j.  Both routes cost
-O(hi - min e) per pass or term, so a window far above k0 costs as much as
-the whole stretch up to it.  Every read, the depth scans' included, is
-refused before any list exists when that list would pass MAX_WINDOW.
+binomials on one dense list over [base, hi], sliced once at lo.  For p > 0
+base = min(lo, k0), so a window far above k0 costs as much as the whole
+stretch up to it; for p = 0 the values are the numerator coefficients and
+base = lo, so a read past a finite support costs only its own width.  The
+T numerator terms at or below hi fill the list by p prefix-sum passes while
+p <= PREFIX_ROUTE_RATIO * T, else by the S-convolution
+h(k) = sum_e c_e S[k - e], where S[j] = C(j + p - 1, p - 1)
+= S[j - 1] (j + p - 1) // j; either route costs O(hi - base) per pass or
+term.  Every read, the depth scans' included, is refused before the list
+exists when hi - base + 1 passes MAX_WINDOW.
 
 The zero function is unrepresentable by design; constructors raise
 EmptyFunctionError instead of building it.
@@ -69,12 +72,13 @@ class HilbertFunction:
 
     The constructor takes any degree -> integer mapping and keeps its
     nonzero entries, divided by (1 - t) while that is exact, as the
-    read-only mapping ``numerator``.  Instances are immutable; every
+    read-only mapping ``numerator``, and its lowest exponent, the first
+    degree with a nonzero value, as ``k0``.  Instances are immutable; every
     operation returns a fresh value, so they are safe to share across
     threads.
     """
 
-    __slots__ = ("numerator", "denom_power")
+    __slots__ = ("numerator", "denom_power", "k0")
 
     def __init__(self, numerator: Mapping[int, int], denom_power: int):
         if denom_power < 0:
@@ -96,11 +100,7 @@ class HilbertFunction:
             )
         self.numerator = MappingProxyType(num)
         self.denom_power = p
-
-    @property
-    def k0(self) -> int:
-        """First degree with a nonzero value."""
-        return min(self.numerator)
+        self.k0 = k0
 
     @property
     def kf(self) -> int | None:
@@ -110,45 +110,44 @@ class HilbertFunction:
         return max(self.numerator)
 
     def evaluate(self, k: int) -> int:
-        """Exact value h(k) = values(k, k)[0], under its MAX_WINDOW cap;
-        always a nonnegative integer."""
+        """Exact value h(k) = values(k, k)[0], always a nonnegative integer.
+        For p > 0 the read runs from min(k, k0), so k - k0 + 1 above
+        MAX_WINDOW is refused; for p = 0 it is the one degree k."""
         return self.values(k, k)[0]
 
     def values(self, lo: int, hi: int) -> list[int]:
-        """Exact values h(lo), ..., h(hi), read from the numerator terms with
-        e <= hi; raises NegativeValueError at the first negative one, and
-        BudgetExceededError before any list is built when the longest one,
-        hi - min(lo, base) + 1 with base the lowest such e (else lo), would
-        be wider than MAX_WINDOW.  hi < lo gives []."""
+        """Exact values h(lo), ..., h(hi) from one dense list on [base, hi],
+        base = min(lo, k0) when p > 0 and base = lo when p = 0; raises
+        NegativeValueError at the first negative value, and
+        BudgetExceededError before the list is built when hi - base + 1
+        is wider than MAX_WINDOW.  hi < lo gives []."""
         if hi < lo:
             return []
-        terms = [(e, c) for e, c in self.numerator.items() if e <= hi]
-        base = min(terms)[0] if terms else lo
-        width = hi - min(lo, base) + 1
+        p = self.denom_power
+        base = min(lo, self.k0) if p else lo
+        width = hi - base + 1
         if width > MAX_WINDOW:
             raise BudgetExceededError(
                 f"window of {width} degrees is above the cap {MAX_WINDOW}"
             )
-        if not terms:
-            return [0] * width
-        p = self.denom_power
+        dense = [0] * width
+        terms = [(e, c) for e, c in self.numerator.items() if e <= hi]
         if p <= PREFIX_ROUTE_RATIO * len(terms):
-            # p prefix-sum passes over the dense numerator on [base, hi]
-            dense = [0] * (hi - base + 1)
+            # p prefix-sum passes; p = 0 reads no term below base = lo
             for e, c in terms:
-                dense[e - base] = c
+                if e >= base:
+                    dense[e - base] = c
             for _ in range(p):
                 dense = list(accumulate(dense))
-            out = [0] * (base - lo) + dense[max(0, lo - base):]
         else:
-            # S[j] = C(j + p - 1, p - 1), then h(k) = sum_e c_e S[k - e]
-            s = [1] * (hi - base + 1)
-            for j in range(1, hi - base + 1):
+            # S[j] = C(j + p - 1, p - 1), then h(k) = sum_e c_e S[k - e];
+            # every e >= k0, so S on [0, hi - k0] reaches hi from each term
+            s = [1] * (hi - self.k0 + 1)
+            for j in range(1, len(s)):
                 s[j] = s[j - 1] * (j + p - 1) // j
-            out = [0] * (hi - lo + 1)
             for e, c in terms:
-                i = max(lo, e) - lo
-                out[i:] = map(add, out[i:], map(c.__mul__, s[i + lo - e:]))
+                dense[e - base:] = map(add, dense[e - base:], map(c.__mul__, s))
+        out = dense[lo - base:]
         if min(out) < 0:
             k, value = next((k, v) for k, v in enumerate(out, lo) if v < 0)
             raise NegativeValueError(f"coefficient at degree {k} is {value}")

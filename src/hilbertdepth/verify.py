@@ -8,9 +8,11 @@ default ranges, and ``run_battery`` builds the report from it, with the
 table key as the report's name and the time of the call as its elapsed
 time.
 
-Each kind of law is checked in one place.  ``_depth_law`` runs ``qdepth``
-on a stream of (descriptor, h, expected depth) cases, which ``polyring``,
-``ci`` and ``free`` generate.  The random-function batteries (``extension``
+Each kind of law is checked in one place.  ``report.equality_law`` checks
+every law between two exact sides: ``_depth_law`` feeds it ``qdepth`` on
+the (descriptor, h, expected depth) cases that ``polyring``, ``ci`` and
+``free`` generate, and ``beta-identity`` and ``e-link`` feed it their
+kernel, Gauss and table sides.  The random-function batteries (``extension``
 and ``structural``) report each failed law through ``_reporter``, whose
 descriptor starts with the case number and h as JSON, built only on a
 failure.
@@ -30,7 +32,7 @@ from .hypergeometric import (
     check_derivative_link,
     check_sign_positivity,
 )
-from .report import VerificationReport, Violation
+from .report import VerificationReport, Violation, equality_law
 from .series import (
     HilbertFunction,
     complete_intersection,
@@ -107,15 +109,8 @@ def _degree_multisets(r: int, dmax: int):
 
 def _depth_law(cases) -> tuple[int, list[Violation]]:
     """qdepth(h) equals the expected depth on every (descriptor, h,
-    expected) case of the stream; returns the case count and one violation
-    per case whose depth differs."""
-    count = 0
-    violations = []
-    for count, (descriptor, h, expected) in enumerate(cases, 1):
-        actual = qdepth(h).qdepth
-        if actual != expected:
-            violations.append(Violation(descriptor, str(expected), str(actual)))
-    return count, violations
+    expected) case of the stream, by ``equality_law``."""
+    return equality_law((case, depth, qdepth(h).qdepth) for case, h, depth in cases)
 
 
 def verify_polynomial_rings(max_n: int) -> tuple[int, list[Violation]]:

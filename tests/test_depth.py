@@ -271,6 +271,9 @@ def test_window_cap_raises_before_any_value_is_read():
 def test_window_cap_boundary(monkeypatch):
     # the CLI answers table(0:1,1:3000000), a window of 3 * 10^6 + 1
     assert MAX_WINDOW >= 3_000_001
+    # for p = 0 the width runs from lo, so a read far past a finite
+    # support is only as wide as itself
+    assert from_table({0: 1}).evaluate(5_000_000) == 0
     monkeypatch.setattr("hilbertdepth.series.MAX_WINDOW", 5)
     assert len(beta_table(polynomial_ring(3), 4).values) == 5
     assert qdepth(from_table({0: 1, 1: 4})).upper_bound == 4
@@ -291,10 +294,15 @@ def test_window_cap_boundary(monkeypatch):
     assert ring.values(-2, 2) == [0, 0, 1, 9, 45]
     with pytest.raises(BudgetExceededError, match="window of 6 degrees"):
         ring.values(-3, 2)
-    # the width runs from the lowest term even when lo lies above it
+    # for p > 0 the width runs from k0 even when lo lies above it
     assert ring.values(4, 4) == [comb(12, 4)]
     with pytest.raises(BudgetExceededError, match="window of 6 degrees"):
         ring.evaluate(5)
+    # for p = 0 it runs from lo, past terms below lo
+    sparse = from_table({0: 1, 12: 3})
+    assert sparse.values(10, 14) == [0, 0, 3, 0, 0]
+    with pytest.raises(BudgetExceededError, match="window of 6 degrees"):
+        sparse.values(10, 15)
 
 
 def test_qdepth_wide_polynomial_ring():

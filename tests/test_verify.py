@@ -3,6 +3,7 @@
 import inspect
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from hilbertdepth import (
 )
 from hilbertdepth.depth import BetaTable
 from hilbertdepth.errors import OutOfRangeError
-from hilbertdepth.report import VerificationReport, Violation
+from hilbertdepth.report import VerificationReport, Violation, equality_law
 from hilbertdepth.series import scale
 from hilbertdepth.verify import (
     BATTERIES,
@@ -59,6 +60,27 @@ def test_negative_ranges_are_rejected():
                 run_battery(name, **{param: -1})
     # a negative seed is only a seed
     assert run_battery("structural", trials=3, seed=-7).cases_run == 3
+
+
+def test_equality_law_counts_every_triple_and_reports_each_difference():
+    assert equality_law(iter(())) == (0, [])
+    # an int equals the equal Fraction: no violation
+    assert equality_law([("same", Fraction(6, 2), 3)]) == (1, [])
+    cases = [
+        ("a", 1, 1),
+        ("b", Fraction(1, 2), 1),
+        ("c", "x", "x"),
+        ("d", 3, Fraction(-7, 3)),
+        ("e", 10**20, 10**20 + 1),
+    ]
+    assert equality_law(iter(cases)) == (
+        5,
+        [
+            Violation("b", "1/2", "1"),
+            Violation("d", "3", "-7/3"),
+            Violation("e", str(10**20), str(10**20 + 1)),
+        ],
+    )
 
 
 def test_registry_defaults_give_the_all_order_and_counts():
