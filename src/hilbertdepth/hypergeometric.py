@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .depth import beta
 from .errors import InvalidArityError, OutOfRangeError
-from .report import Violation, equality_law
+from .report import Violation, equality_law, reporter
 from .series import polynomial_ring
 
 if TYPE_CHECKING:
@@ -150,16 +150,19 @@ def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
 
     For every n up to max_n: the k = 0 and k = 1 Gauss values are exactly 1
     and 0; for 2 <= k <= n, (-1)^k gauss_2f1(k, n) > 0 and big_e(n, k) > 0;
-    and (-1)^j c(k, j) > 0 throughout rows k >= 2 of the table.
+    and (-1)^j c(k, j) > 0 throughout rows k >= 2 of the table.  Each n has
+    one ``report.reporter`` with the prefix ``n={n}``, and every failed law
+    reports the value it already computed.
     """
     violations: list[Violation] = []
     cases = 0
     for n in range(1, max_n + 1):
         cases += 1
-        if gauss_2f1(0, n) != 1:
-            violations.append(Violation(f"n={n} k=0", "1", str(gauss_2f1(0, n))))
-        if gauss_2f1(1, n) != 0:
-            violations.append(Violation(f"n={n} k=1", "0", str(gauss_2f1(1, n))))
+        fail = reporter(violations, lambda: f"n={n}")
+        for k, expected in ((0, 1), (1, 0)):
+            value = gauss_2f1(k, n)
+            if value != expected:
+                fail(f"k={k}", expected, value)
         if n < 2:
             continue
         table = coeff_table(n, n, n)
@@ -167,19 +170,15 @@ def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
             cases += 1
             value = (-1) ** k * gauss_2f1(k, n)
             if value <= 0:
-                violations.append(
-                    Violation(f"n={n} k={k} gauss sign", "> 0", str(value))
-                )
+                fail(f"k={k} gauss sign", "> 0", value)
             e = big_e(n, k)
             if e <= 0:
-                violations.append(Violation(f"n={n} k={k} big_e", "> 0", str(e)))
+                fail(f"k={k} big_e", "> 0", e)
             sign = 1
             for j, c in enumerate(table.rows[k - 1]):
                 signed, sign = sign * c, -sign
                 if signed <= 0:
-                    violations.append(
-                        Violation(f"n={n} k={k} j={j} c sign", "> 0", str(signed))
-                    )
+                    fail(f"k={k} j={j} c sign", "> 0", signed)
     return cases, violations
 
 

@@ -3,13 +3,18 @@
 A ``Violation`` names one failing case by a descriptor that replays it, and
 a ``VerificationReport`` collects one battery's case count and violations.
 Both are immutable ``NamedTuple`` records: ``verify.run_battery`` builds
-each report once, and nothing updates it afterwards.  ``equality_law``
+each report once, and nothing updates it afterwards.
+
+Every violation is built here, by one of two builders.  ``equality_law``
 checks the (case, expected, actual) triples of a law between two sides.
+``reporter`` serves the one-sided laws: its ``fail(law, expected,
+actual)`` appends a violation whose descriptor is a case prefix and the
+law, the prefix built only when a law fails.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class Violation(NamedTuple):
@@ -32,6 +37,17 @@ def equality_law(
         if expected != actual:
             violations.append(Violation(case, str(expected), str(actual)))
     return count, violations
+
+
+def reporter(violations: list[Violation], prefix: Callable[[], str]):
+    """``fail(law, expected, actual)``, which appends the violation
+    ``{prefix()} {law}`` with both sides as ``str``; ``prefix`` is called
+    only when a law fails, so a clean case builds no descriptor."""
+
+    def fail(law: str, expected: object, actual: object) -> None:
+        violations.append(Violation(f"{prefix()} {law}", str(expected), str(actual)))
+
+    return fail
 
 
 class VerificationReport(NamedTuple):

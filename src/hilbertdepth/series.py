@@ -73,9 +73,10 @@ class HilbertFunction:
     The constructor takes any degree -> integer mapping and keeps its
     nonzero entries, divided by (1 - t) while that is exact, as the
     read-only mapping ``numerator``, and its lowest exponent, the first
-    degree with a nonzero value, as ``k0``.  Instances are immutable; every
-    operation returns a fresh value, so they are safe to share across
-    threads.
+    degree with a nonzero value, as ``k0``.  Instances are immutable:
+    assigning or deleting an attribute raises ``AttributeError``, a copy is
+    the instance itself, and every operation returns a fresh value, so they
+    are safe to share across threads.
     """
 
     __slots__ = ("numerator", "denom_power", "k0")
@@ -98,9 +99,18 @@ class HilbertFunction:
             raise NegativeValueError(
                 f"value at first nonzero degree {k0} is negative"
             )
-        self.numerator = MappingProxyType(num)
-        self.denom_power = p
-        self.k0 = k0
+        object.__setattr__(self, "numerator", MappingProxyType(num))
+        object.__setattr__(self, "denom_power", p)
+        object.__setattr__(self, "k0", k0)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"HilbertFunction is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"HilbertFunction is immutable; cannot delete {name!r}")
+
+    def __copy__(self) -> HilbertFunction:
+        return self
 
     @property
     def kf(self) -> int | None:

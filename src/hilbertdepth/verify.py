@@ -8,14 +8,16 @@ default ranges, and ``run_battery`` builds the report from it, with the
 table key as the report's name and the time of the call as its elapsed
 time.
 
-Each kind of law is checked in one place.  ``report.equality_law`` checks
-every law between two exact sides: ``_depth_law`` feeds it ``qdepth`` on
-the (descriptor, h, expected depth) cases that ``polyring``, ``ci`` and
-``free`` generate, and ``beta-identity`` and ``e-link`` feed it their
-kernel, Gauss and table sides.  The random-function batteries (``extension``
-and ``structural``) report each failed law through ``_reporter``, whose
-descriptor starts with the case number and h as JSON, built only on a
-failure.
+Each kind of law is checked in one place, and every violation is built
+in ``report``.  ``report.equality_law`` checks every law between two exact
+sides: ``_depth_law`` feeds it ``qdepth`` on the (descriptor, h, expected
+depth) cases that ``polyring``, ``ci`` and ``free`` generate, and
+``beta-identity`` and ``e-link`` feed it their kernel, Gauss and table
+sides.  Every other battery reports each failed law through a
+``report.reporter`` whose prefix replays the case: the case number and h
+as JSON for ``extension`` and ``structural``, n and the degrees for
+``ci-recursion`` and ``ci-truncation``, n and the seed for ``quotients``.
+The prefix is built only when a law fails.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .hypergeometric import (
     check_derivative_link,
     check_sign_positivity,
 )
-from .report import VerificationReport, Violation, equality_law
+from .report import VerificationReport, Violation, equality_law, reporter
 from .series import (
     HilbertFunction,
     complete_intersection,
@@ -55,19 +57,6 @@ DEFAULT_SEED = 271828
 
 def _describe(h: HilbertFunction) -> str:
     return json.dumps(h.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def _reporter(violations: list[Violation], case: int, h: HilbertFunction):
-    """The reporter of one random-function case: ``fail(law, expected,
-    actual)`` appends a violation whose descriptor is the replayable prefix
-    ``case {case}: h={json}`` and then the law.  The prefix is built only
-    when a law fails."""
-
-    def fail(law: str, expected, actual) -> None:
-        prefix = f"case {case}: h={_describe(h)}"
-        violations.append(Violation(f"{prefix} {law}", str(expected), str(actual)))
-
-    return fail
 
 
 def random_hilbert_function(rng: random.Random, depth: int = 2) -> HilbertFunction:
@@ -154,15 +143,13 @@ def verify_ci_recursion(
         degrees = [rng.randint(2, max_degree) for _ in range(n - 1)]
         degrees.append(rng.randint(3, max_degree))
         dn = degrees[-1]
-        descriptor = f"case {case}: n={n} degrees={degrees}"
+        fail = reporter(violations, lambda: f"case {case}: n={n} degrees={degrees}")
         h_full = complete_intersection(n, degrees)
         h_lowered = complete_intersection(n, degrees[:-1] + [dn - 1])
         h_smaller = complete_intersection(n - 1, degrees[:-1])
         recombined = h_lowered + shift(h_smaller, -(dn - 1))
         if h_full != recombined:
-            violations.append(
-                Violation(f"{descriptor} series", repr(h_full), repr(recombined))
-            )
+            fail("series", h_full, recombined)
             continue
         full = beta_table(h_full, n)
         lowered = beta_table(h_lowered, n)
@@ -173,9 +160,7 @@ def verify_ci_recursion(
             if k >= dn - 1:
                 rhs += smaller.value(k - dn + 1)
             if lhs != rhs:
-                violations.append(
-                    Violation(f"{descriptor} beta k={k}", str(rhs), str(lhs))
-                )
+                fail(f"beta k={k}", rhs, lhs)
     return trials, violations
 
 
@@ -192,17 +177,13 @@ def verify_ci_truncation(max_n: int, max_degree: int) -> tuple[int, list[Violati
                 padded = complete_intersection(
                     n, list(degrees) + [n + 1] * (n - r)
                 )
-                descriptor = f"n={n} degrees={list(degrees)}"
+                fail = reporter(violations, lambda: f"n={n} degrees={list(degrees)}")
                 pairs = zip(plain.values(0, n), padded.values(0, n))
                 for j, (a, b) in enumerate(pairs):
                     if a != b:
-                        violations.append(
-                            Violation(f"{descriptor} value j={j}", str(a), str(b))
-                        )
+                        fail(f"value j={j}", a, b)
                 if beta_table(plain, n) != beta_table(padded, n):
-                    violations.append(
-                        Violation(f"{descriptor} beta row", "equal tables", "differ")
-                    )
+                    fail("beta row", "equal tables", "differ")
     return cases, violations
 
 
@@ -253,7 +234,7 @@ def verify_extension(trials: int, seed: int) -> tuple[int, list[Violation]]:
     rng = random.Random(seed)
     for case in range(trials):
         h = random_hilbert_function(rng)
-        fail = _reporter(violations, case, h)
+        fail = reporter(violations, lambda: f"case {case}: h={_describe(h)}")
         extended = extend(h)
         base = qdepth(h).qdepth
         lifted = qdepth(extended).qdepth
@@ -274,7 +255,7 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
     call the kernel.  The parity check reuses the first 11 of those 13
     values, and extend(h) is built once for both the extension check and
     the parity check (see ``_parity_law``).  Every failed law goes to the
-    case's ``_reporter``."""
+    case's reporter."""
     violations = []
     rng = random.Random(seed)
     for case in range(trials):
@@ -282,7 +263,7 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
         other = random_hilbert_function(rng)
         m = rng.randint(-3, 3)
         r = rng.choice((2, 3, 7))
-        fail = _reporter(violations, case, h)
+        fail = reporter(violations, lambda: f"case {case}: h={_describe(h)}")
         result = qdepth(h)
         d0 = result.qdepth
         if not result.lower_bound <= d0 <= result.upper_bound:
@@ -353,9 +334,9 @@ def verify_quotients(
             continue
         produced += 1
         if not check_qdepth_match(q):
+            fail = reporter(violations, lambda: f"n={n} seed={sub_seed}")
             ideals = f"upper=({format_ideal(q.upper)}) lower=({format_ideal(q.lower)})"
-            descriptor = f"n={n} seed={sub_seed} {ideals}"
-            violations.append(Violation(descriptor, "matching depths", "mismatch"))
+            fail(ideals, "matching depths", "mismatch")
     return produced, violations
 
 

@@ -16,8 +16,10 @@ from hilbertdepth import (
     big_e,
     coeff_table,
     gauss_2f1,
+    hypergeometric,
 )
-from hilbertdepth.hypergeometric import geometric_square_series
+from hilbertdepth.hypergeometric import CoeffTable, geometric_square_series
+from hilbertdepth.report import Violation
 from hilbertdepth.verify import run_battery
 
 
@@ -197,6 +199,39 @@ def test_sign_battery():
     # no eligible sign pairs below n = 2
     report = run_battery("signs", max_n=1)
     assert report.passed
+
+
+def test_sign_battery_reports_each_failed_law(monkeypatch):
+    # one fault per sign law, each at its own (n, k): the k = 0 value at
+    # n = 2, the k = 1 value at n = 3, the k = 2 Gauss sign at n = 3, big_e
+    # at (3, 3) and c(2, 1) at n = 2; every violation shows the faulty value
+    faults = {(0, 2): Fraction(2), (1, 3): Fraction(1, 2), (2, 3): Fraction(-1)}
+
+    def faulty_gauss(k, n):
+        return faults.get((k, n), gauss_2f1(k, n))
+
+    def faulty_big_e(n, k):
+        return -big_e(n, k) if (n, k) == (3, 3) else big_e(n, k)
+
+    def faulty_table(n, kmax, jmax):
+        table = coeff_table(n, kmax, jmax)
+        if n != 2:
+            return table
+        row1, (c0, c1, c2) = table.rows
+        return CoeffTable(n, kmax, jmax, (row1, (c0, -c1, c2)))
+
+    monkeypatch.setattr(hypergeometric, "gauss_2f1", faulty_gauss)
+    monkeypatch.setattr(hypergeometric, "big_e", faulty_big_e)
+    monkeypatch.setattr(hypergeometric, "coeff_table", faulty_table)
+    report = run_battery("signs", max_n=3)
+    assert report.cases_run == 6
+    assert report.violations == [
+        Violation("n=2 k=0", "1", "2"),
+        Violation("n=2 k=2 j=1 c sign", "> 0", "-1"),
+        Violation("n=3 k=1", "0", "1/2"),
+        Violation("n=3 k=2 gauss sign", "> 0", "-1"),
+        Violation("n=3 k=3 big_e", "> 0", "-36"),
+    ]
 
 
 def test_beta_identity_battery():

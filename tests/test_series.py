@@ -6,6 +6,7 @@ brute-force counting of bounded-exponent monomials for complete
 intersections.
 """
 
+import copy
 import itertools
 import random
 from collections import Counter
@@ -29,6 +30,7 @@ from hilbertdepth import (
     from_table,
     parse_function,
     polynomial_ring,
+    qdepth,
     scale,
     shift,
 )
@@ -406,6 +408,19 @@ def test_numerator_is_read_only():
     # the caller's mapping is copied, not shared
     coeffs[0] = 7
     assert h.evaluate(0) == 1 and h.numerator == {0: 1, 2: 3}
+
+
+def test_instances_are_immutable():
+    h = complete_intersection(4, [3, 3, 2])
+    depth = qdepth(h).qdepth
+    for attr, value in (("numerator", {0: 1}), ("denom_power", 0), ("k0", 2)):
+        with pytest.raises(AttributeError):
+            setattr(h, attr, value)
+        with pytest.raises(AttributeError):
+            delattr(h, attr)
+    assert h == complete_intersection(4, [3, 3, 2]) and h.k0 == 0
+    assert qdepth(h).qdepth == depth == 4
+    assert copy.copy(h) == h
 
 
 def decode_function(data):

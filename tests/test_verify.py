@@ -13,6 +13,7 @@ from hilbertdepth import (
     free_module,
     from_table,
     extend,
+    hypergeometric,
     polynomial_ring,
     qdepth,
     shift,
@@ -20,7 +21,7 @@ from hilbertdepth import (
 )
 from hilbertdepth.depth import BetaTable
 from hilbertdepth.errors import OutOfRangeError
-from hilbertdepth.report import VerificationReport, Violation, equality_law
+from hilbertdepth.report import VerificationReport, Violation, equality_law, reporter
 from hilbertdepth.series import scale
 from hilbertdepth.verify import (
     BATTERIES,
@@ -81,6 +82,26 @@ def test_equality_law_counts_every_triple_and_reports_each_difference():
             Violation("e", str(10**20), str(10**20 + 1)),
         ],
     )
+
+
+def test_reporter_builds_its_prefix_only_on_a_failure():
+    violations, prefixes = [], []
+
+    def prefix():
+        prefixes.append(len(violations))
+        return f"case {len(prefixes)}:"
+
+    fail = reporter(violations, prefix)
+    assert violations == [] and prefixes == []
+    fail("law a", 1, Fraction(1, 2))
+    fail("law b", "> 0", -10**20)
+    fail("law c", ">= 3", 2)
+    assert violations == [
+        Violation("case 1: law a", "1", "1/2"),
+        Violation("case 2: law b", "> 0", str(-10**20)),
+        Violation("case 3: law c", ">= 3", "2"),
+    ]
+    assert prefixes == [0, 1, 2]
 
 
 def test_registry_defaults_give_the_all_order_and_counts():
@@ -150,6 +171,23 @@ def test_ci_truncation_hand_case():
         assert plain.evaluate(j) == padded.evaluate(j)
     report = run_battery("ci-truncation", max_n=5, max_degree=4)
     assert report.passed
+
+
+def test_ci_truncation_reports_a_value_and_its_row(monkeypatch):
+    # the padded form of n=2 degrees=[2] built as ci(2; 2, 2): its values
+    # on [0, 2] are 1, 2, 1 against 1, 2, 2, so j = 2 and the row differ
+    def faulty(n, degrees):
+        if (n, list(degrees)) == (2, [2, 3]):
+            degrees = [2, 2]
+        return complete_intersection(n, degrees)
+
+    monkeypatch.setattr(verify, "complete_intersection", faulty)
+    report = run_battery("ci-truncation", max_n=3, max_degree=3)
+    assert report.cases_run == 1 + 3 + 6
+    assert report.violations == [
+        Violation("n=2 degrees=[2] value j=2", "2", "1"),
+        Violation("n=2 degrees=[2] beta row", "equal tables", "differ"),
+    ]
 
 
 def test_free_module_cases():
@@ -512,18 +550,28 @@ def test_structural_checks_the_inversion(monkeypatch):
 
 
 def test_clean_batteries_build_no_descriptor(monkeypatch):
-    # a random case's JSON descriptor is built only when one of its laws fails
-    calls = []
+    # a case's descriptor, and a random case's JSON of h, is built only when
+    # one of its laws fails
+    calls, prefixes = [], []
 
     def counted(h):
         calls.append(h)
         return _describe(h)
 
+    def counted_reporter(violations, prefix):
+        def counted_prefix():
+            prefixes.append(prefix)
+            return prefix()
+
+        return reporter(violations, counted_prefix)
+
     monkeypatch.setattr(depth, "FLIP", False)
     monkeypatch.setattr(verify, "_describe", counted)
+    for module in (verify, hypergeometric):
+        monkeypatch.setattr(module, "reporter", counted_reporter)
     for name in BATTERIES:
         assert run_battery(name).passed
-    assert calls == []
+    assert calls == [] and prefixes == []
     monkeypatch.setattr(depth, "FLIP", True)
     assert not run_battery("structural", trials=5).passed
-    assert calls
+    assert calls and prefixes
