@@ -30,17 +30,35 @@ C(d - j, k - j) gives
 so a scan costs O(q^2) big-integer subtractions, with q = qdepth - k0 + 2,
 and no binomial coefficients.  The scans stream the rows and keep two of
 them (the current one and the certificate).  The kernel is the only code
-here that computes beta: ``beta_table`` is its last row and ``beta`` one
-entry of that row.  The closed form above lives in the tests, as the oracle
-they hold the kernel to.  ``reconstruct`` recovers a whole row's window by
+here that computes beta from values: ``beta_table`` is its last row and
+``beta`` one entry of that row.  The closed form above lives in the tests,
+as the oracle they hold the kernel to, and they hold ``_top_row`` to the
+kernel.  ``reconstruct`` recovers a whole row's window by
 Horner's rule on the generating function of the inverse, one Pascal-sum
 pass per entry, O(L^2) additions for a row of L entries and no state.  It
 adds where the kernel subtracts and never calls the kernel, so the
 inversion check stays independent of it.
 
+Most depths sit at the window top (the ring, complete intersections with
+every degree >= 2, the free modules of the paper), and by the prefix-sum
+lemma a nonnegative row at the top proves the top is the depth.
+``_top_row`` builds that row from the numerator alone: with u = t/(1 - t),
+each numerator term c_e adds c_e times the series of
+(1 - t)^(d + p - e) (1 - 2t)^(-p), shifted to e - k0, and that series obeys
+a three-term recurrence with one exact division per entry, so the row costs
+O(T_L L) for a row of L entries and the T_L terms below it, against the
+scan's O(L^2).  ``qdepth`` still reads its whole window once (the cap and
+the nonnegativity check), then scans a probe of the first
+sqrt(TOP_ROW_RATIO T W) values, T numerator terms and W values.  A probe
+that refutes or reaches the top is the answer; otherwise a nonnegative top
+row is, and a negative one falls back to the full scan.  The probe costs
+about what the row does, so no input costs much more than the scan alone,
+and a dense numerator probes the whole window.  Under the fault hook
+``qdepth`` takes the full scan only.
+
 The fault hook ``HILBERTDEPTH_FLIP_BETA`` is read only in this module,
-once, into ``FLIP`` when it is imported, and applied only by the kernel.
-It negates the reported diagonal entry k == d > k0 of each row; the kernel
+once, into ``FLIP`` when it is imported, and applied only by the kernel,
+which is why ``qdepth`` takes no top row under it.  It negates the reported diagonal entry k == d > k0 of each row; the kernel
 hands out a flipped copy and keeps recurring on the clean row.  Flipped
 rows are not prefix sums of each other, and the scan stops at the first
 one with a negative entry.
@@ -50,6 +68,7 @@ from __future__ import annotations
 
 import os
 from itertools import islice
+from math import isqrt
 from operator import add, sub
 from typing import Iterator, NamedTuple
 
@@ -61,6 +80,10 @@ from .series import HilbertFunction
 # is negated, which makes the verification batteries report violations.
 FLIP_BETA_ENV = "HILBERTDEPTH_FLIP_BETA"
 FLIP = bool(os.environ.get(FLIP_BETA_ENV))
+# Probe length in ``qdepth``, in units of sqrt(T W): the probe scan's
+# ~2 T W subtractions match the top row's ~T W recurrence steps, and a
+# dense numerator (4 T >= W) probes the whole window, the plain scan.
+TOP_ROW_RATIO = 4
 
 
 class BetaTable(NamedTuple):
@@ -208,13 +231,60 @@ def bounds(h: HilbertFunction) -> tuple[int, int]:
     return k0, k0 + h1 // h0
 
 
+def _top_row(h: HilbertFunction, d: int) -> list[int]:
+    """beta(d, k) for k0 <= k <= d from the numerator alone: no values, no
+    kernel, no binomials.  Modulo t^L, L = d - k0 + 1,
+
+        sum_k beta(d, k) t^(k - k0)
+            = sum_e c_e t^(e - k0) (1 - t)^(d + p - e) (1 - 2t)^(-p),
+
+    so each term with i = e - k0 < L adds c_e times the first L - i
+    coefficients of A = (1 - t)^a (1 - 2t)^(-p), a = d + p - e.  From
+    (1 - t)(1 - 2t) A' = ((2p - a) + (2a - 2p) t) A, with A_0 = 1 and
+    A_(-1) = 0,
+
+        (k + 1) A_(k + 1) = (3k + 2p - a) A_k + 2(a - p - k + 1) A_(k - 1),
+
+    one exact division per entry: O(T_L L) for the T_L terms below L."""
+    k0, p = h.k0, h.denom_power
+    size = d - k0 + 1
+    row = [0] * size
+    for e, c in h.numerator.items():
+        i = e - k0
+        if i >= size:
+            continue
+        a = d + p - e
+        col = [1]
+        prev, cur = 0, 1
+        for k in range(size - i - 1):
+            prev, cur = cur, ((3 * k + 2 * p - a) * cur
+                              + 2 * (a - p - k + 1) * prev) // (k + 1)
+            col.append(cur)
+        row[i:] = map(add, row[i:], map(c.__mul__, col))
+    return row
+
+
 def qdepth(h: HilbertFunction) -> QDepthResult:
     """Largest d whose beta row is nonnegative, with certificate.
 
     The window is read by one ``h.values`` call, which raises on a negative
-    value or a window wider than MAX_WINDOW; the rows are scanned from k0
-    up to the first negative one.  d = k0 is always feasible because
-    beta(k0, k0) = h(k0) > 0.
+    value or a window wider than MAX_WINDOW.  Under ``FLIP`` the rows are
+    scanned from k0 up to the first negative one.  Otherwise a probe scans
+    the first sqrt(TOP_ROW_RATIO T W) values, T numerator terms and W
+    values; if it neither refutes nor reaches the window top, one
+    ``_top_row`` at the top that is nonnegative proves the top is the depth
+    (prefix-sum lemma), and a negative one falls back to the full scan.
+    d = k0 is always feasible because beta(k0, k0) = h(k0) > 0.
     """
     low, high = bounds(h)
-    return scan(h.values(low, high), low, FLIP)
+    evals = h.values(low, high)
+    if FLIP:
+        return scan(evals, low, True)
+    probe = scan(evals[:isqrt(TOP_ROW_RATIO * len(h.numerator) * len(evals))], low)
+    top = probe.upper_bound
+    if probe.refutation is not None or probe.qdepth == top:
+        return probe
+    row = _top_row(h, top)
+    if min(row) >= 0:
+        return QDepthResult(top, BetaTable(top, low, tuple(row)), low, top, None)
+    return scan(evals, low)

@@ -76,7 +76,8 @@ class HilbertFunction:
     degree with a nonzero value, as ``k0``.  Instances are immutable:
     assigning or deleting an attribute raises ``AttributeError``, a copy is
     the instance itself, and every operation returns a fresh value, so they
-    are safe to share across threads.
+    are safe to share across threads.  ``pickle`` and ``deepcopy`` rebuild
+    an equal instance from the numerator as a plain dict.
     """
 
     __slots__ = ("numerator", "denom_power", "k0")
@@ -111,6 +112,9 @@ class HilbertFunction:
 
     def __copy__(self) -> HilbertFunction:
         return self
+
+    def __reduce__(self) -> tuple:
+        return HilbertFunction, (dict(self.numerator), self.denom_power)
 
     @property
     def kf(self) -> int | None:

@@ -252,10 +252,12 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
     Each case reads h over its inversion window once and walks one kernel
     pass over it: every row d = k0..k0 + 12 must give back those values,
     all of them from one ``reconstruct`` call, by Pascal sums that never
-    call the kernel.  The parity check reuses the first 11 of those 13
-    values, and extend(h) is built once for both the extension check and
-    the parity check (see ``_parity_law``).  Every failed law goes to the
-    case's reporter."""
+    call the kernel.  When the depth d0 lies in that range, the kernel's
+    row d0 must equal the certificate, which ``qdepth`` may have built from
+    the numerator by ``_top_row`` instead of the kernel.  The parity check
+    reuses the first 11 of those 13 values, and extend(h) is built once for
+    both the extension check and the parity check (see ``_parity_law``).
+    Every failed law goes to the case's reporter."""
     violations = []
     rng = random.Random(seed)
     for case in range(trials):
@@ -299,7 +301,10 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
         k0 = h.k0
         evals = h.values(k0, k0 + 12)
         for d, row in beta_rows(evals, k0):
-            recovered = reconstruct(BetaTable(d, k0, tuple(row)))
+            values = tuple(row)
+            if d == d0 and values != result.certificate.values:
+                fail(f"certificate row d={d}", values, result.certificate.values)
+            recovered = reconstruct(BetaTable(d, k0, values))
             if recovered != evals[: d - k0 + 1]:
                 i = next(i for i, v in enumerate(recovered) if v != evals[i])
                 fail(f"inversion d={d} k={k0 + i}", evals[i], recovered[i])

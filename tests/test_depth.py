@@ -28,7 +28,7 @@ from hilbertdepth import (
     shift,
 )
 from hilbertdepth import depth
-from hilbertdepth.depth import BetaTable, _rows, beta_rows, scan
+from hilbertdepth.depth import BetaTable, _rows, _top_row, beta_rows, scan
 from hilbertdepth.series import MAX_WINDOW
 from hilbertdepth.verify import random_hilbert_function
 
@@ -438,6 +438,66 @@ def test_qdepth_reports_the_window_of_its_values(monkeypatch):
     clean = depth.bounds
     monkeypatch.setattr(depth, "bounds", lambda h: (clean(h)[0], clean(h)[1] + 1))
     assert [qdepth(h) for h in cases] == expected
+
+
+# Wide windows over short numerators, the inputs ``qdepth`` answers by one
+# numerator row at the window top when its probe scan does not stop.
+_wide = st.recursive(
+    st.one_of(
+        st.integers(1, 200).map(polynomial_ring),
+        st.builds(
+            free_module,
+            st.integers(1, 150),
+            st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+        ),
+    ),
+    lambda inner: st.one_of(
+        inner.map(extend),
+        st.tuples(inner, inner).map(lambda pair: pair[0] + pair[1]),
+        st.tuples(inner, st.integers(-3, 3)).map(lambda pair: shift(*pair)),
+    ),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.one_of(functions, _wide))
+def test_qdepth_equals_the_full_scan(h):
+    # the probe and the top row give the whole result of one scan over the
+    # window: depth, certificate, bounds and refutation
+    with _flipped(False):
+        assert qdepth(h) == scan(h.values(*bounds(h)), h.k0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=functions)
+def test_top_row_matches_the_kernel(h):
+    with _flipped(False):
+        for d in range(h.k0, h.k0 + 31):
+            assert _top_row(h, d) == list(beta_table(h, d).values)
+
+
+def test_top_row_route_is_taken_on_wide_sparse_windows(monkeypatch):
+    calls = []
+    clean = depth._top_row
+    monkeypatch.setattr(depth, "_top_row", lambda h, d: calls.append(d) or clean(h, d))
+    monkeypatch.setattr(depth, "FLIP", False)
+
+    def count(h):
+        calls.clear()
+        result = qdepth(h)
+        return result.qdepth, len(calls)
+
+    depth_512, taken = count(polynomial_ring(512))
+    assert depth_512 == 512 and taken >= 1
+    # a probe that stops at a refutation builds no row of 3 * 10^6 entries
+    wide_table = from_table({0: 1, 1: 3_000_000, 2: 4_499_998_500_000,
+                             3: 4_499_997_000_000_000_000})
+    assert count(wide_table) == (3, 0)
+    # a dense numerator (1401 terms, 61 values) probes the whole window
+    assert count(complete_intersection(60, [36] * 40)) == (60, 0)
+    monkeypatch.setattr(depth, "FLIP", True)
+    assert count(polynomial_ring(512))[1] == 0
 
 
 def alpha_beta_oracle(alpha, d, k):

@@ -8,6 +8,7 @@ intersections.
 
 import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 from math import comb
@@ -421,6 +422,23 @@ def test_instances_are_immutable():
     assert h == complete_intersection(4, [3, 3, 2]) and h.k0 == 0
     assert qdepth(h).qdepth == depth == 4
     assert copy.copy(h) == h
+
+
+def test_pickle_and_deepcopy_round_trip():
+    pool = [
+        complete_intersection(4, [3, 3, 2]),
+        free_module(3, [2, -1, -1]),
+        from_table({-2: 3, 0: 5}),
+        extend(polynomial_ring(2)) + shift(polynomial_ring(1), 2),
+    ]
+    for h in pool:
+        for other in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+            assert other == h and other is not h
+            assert (other.k0, other.kf) == (h.k0, h.kf)
+            assert qdepth(other) == qdepth(h)
+            with pytest.raises(AttributeError):
+                other.k0 = 0
+        assert copy.copy(h) is h
 
 
 def decode_function(data):
