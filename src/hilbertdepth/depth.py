@@ -9,16 +9,16 @@ k0 <= k <= d is nonnegative.  The Hilbert depth is the largest feasible d;
 it always lies in the window [k0, k0 + floor(h1/h0)] where h0, h1 are the
 first two values of h.  ``bounds`` reads them off the numerator,
 h0 = c_k0 and h1 = c_(k0+1) + p c_k0, so ``qdepth`` reads h only over the
-window, in one ``values`` read held to ``series.MAX_WINDOW``, and
-``scan`` reads the window back off those values.  Row d is the prefix sums
-of row d + 1,
+window, in one ``values`` read held to ``series.MAX_WINDOW``, and reads
+the window back off those values (``_window``), as ``scan`` does.  Row d
+is the prefix sums of row d + 1,
 
     beta(d, k) = sum_{j = k0..k} beta(d + 1, j)     (k0 <= k <= d),
 
 so a nonnegative row d + 1 makes row d nonnegative too, for any integer h:
-the feasible depths are the interval [k0, qdepth].  The scan therefore
-stops at the first row with a negative entry, which is row qdepth + 1 and
-holds the refutation.
+the feasible depths are the interval [k0, qdepth].  One upward walk,
+``_walk``, therefore decides the depth: it stops at the first row with a
+negative entry, which is row qdepth + 1 and holds the refutation.
 
 Every scan walks the rows with one kernel, ``_rows``.  Pascal's rule on
 C(d - j, k - j) gives
@@ -48,26 +48,28 @@ each numerator term c_e adds c_e times the series of
 a three-term recurrence with one exact division per entry, so the row costs
 O(T_L L) for a row of L entries and the T_L terms below it, against the
 scan's O(L^2).  ``qdepth`` still reads its whole window once (the cap and
-the nonnegativity check), then scans a probe of the first
-sqrt(TOP_ROW_RATIO T W) values, T numerator terms and W values.  A probe
-that refutes or reaches the top is the answer; otherwise a nonnegative top
-row is, and a negative one falls back to the full scan.  The probe costs
-about what the row does, so no input costs much more than the scan alone,
-and a dense numerator probes the whole window.  Under the fault hook
-``qdepth`` takes the full scan only.
+the nonnegativity check), then makes one stream of kernel rows from k0 to
+the top.  Its first sqrt(TOP_ROW_RATIO T W) rows, T numerator terms and W
+values, are a probe.  A probe that refutes or reaches the top is the
+answer; otherwise a nonnegative top row is, and a negative one resumes the
+walk on the same stream from the probe's last row, so no row is built
+twice.  The probe costs about what the row does, so no input costs much
+more than the walk alone, and a dense numerator probes the whole window.
 
 The fault hook ``HILBERTDEPTH_FLIP_BETA`` is read only in this module,
-once, into ``FLIP`` when it is imported, and applied only by the kernel,
-which is why ``qdepth`` takes no top row under it.  It negates the reported diagonal entry k == d > k0 of each row; the kernel
-hands out a flipped copy and keeps recurring on the clean row.  Flipped
-rows are not prefix sums of each other, and the scan stops at the first
-one with a negative entry.
+once, into ``FLIP`` when it is imported, and applied only by
+``beta_rows``.  It negates the reported diagonal entry k == d > k0 of
+each row: ``beta_rows`` hands out a flipped copy, and the kernel keeps
+recurring on the clean row.  Flipped rows are not prefix sums of each
+other, so no top row can stand in for them: under the hook ``qdepth``
+probes its whole window, and the walk stops at the first flipped row with
+a negative entry.  ``scan`` walks ``_rows`` and never sees the hook.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
 from operator import add, sub
 from typing import Iterator, NamedTuple
@@ -133,53 +135,65 @@ class QDepthResult(NamedTuple):
         }
 
 
-def _rows(
-    evals: list[int], start: int, flip: bool = False
-) -> Iterator[tuple[int, list[int]]]:
+def _rows(evals: list[int], start: int) -> Iterator[tuple[int, list[int]]]:
     """Yield (d, row), row[k - start] = beta(d, k), for one d = start, ...
-    per value evals[j - start] = h(j).  With ``flip`` the diagonal of each
-    row past the first is negated in the yielded copy only."""
+    per value evals[j - start] = h(j)."""
     row = [evals[0]]
     yield start, row
     for i in range(1, len(evals)):
         row = [row[0], *map(sub, row[1:], row), evals[i] - row[-1]]
-        yield start + i, [*row[:-1], -row[-1]] if flip else row
+        yield start + i, row
 
 
 def beta_rows(evals: list[int], start: int) -> Iterator[tuple[int, list[int]]]:
-    """``_rows`` with the fault hook ``FLIP`` as it stands at the call."""
-    return _rows(evals, start, FLIP)
+    """``_rows`` with the fault hook ``FLIP`` as it stands at the call: under
+    it, each row past the first comes as a copy with its diagonal negated,
+    and the kernel keeps recurring on the clean row."""
+    rows = _rows(evals, start)
+    if not FLIP:
+        return rows
+    return ((d, [*row[:-1], -row[-1]] if d > start else row) for d, row in rows)
 
 
-def scan(evals: list[int], start: int, flip: bool = False) -> QDepthResult:
-    """Depth scan over nonnegative values evals[j - start] = h(j) in the
-    window [k0, k0 + h1 // h0] read off them: h0 is the first nonzero value,
-    at k0, and h1 the next one (0 past the end).  All zeros raise
-    EmptyFunctionError.
-
-    The rows d = start, ... up to the window top or the last value are
-    walked up to the first one with a negative entry; that row gives the
-    refutation (d, first negative k, beta) and the row before it the depth
-    and certificate.  With no negative row the last row walked is the depth
-    and the refutation is None, below the window top on a short read.
-    """
+def _window(evals: list[int], start: int) -> tuple[int, int]:
+    """[k0, k0 + h1 // h0] read off values evals[j - start] = h(j): h0 is the
+    first nonzero value, at k0, and h1 the next one (0 past the end).  All
+    zeros raise EmptyFunctionError."""
     h0 = next(filter(None, evals), 0)
     if not h0:
         raise EmptyFunctionError("every value is zero")
     first = evals.index(h0)
     h1 = evals[first + 1] if first + 1 < len(evals) else 0
-    low = start + first
-    high = low + h1 // h0
+    return start + first, start + first + h1 // h0
+
+
+def _walk(rows: Iterator, start: int, low: int, high: int) -> QDepthResult:
+    """Walk rows (d, row), row[k - start] = beta(d, k), up to the first one
+    with a negative entry; that row gives the refutation (d, first negative
+    k, beta) and the row before it the depth and certificate.  With no
+    negative row the last row walked is the depth and the refutation is
+    None.  [low, high] is the window reported."""
     refutation = None
-    for d, row in islice(_rows(evals, start, flip), high - start + 1):
+    for d, row in rows:
         if min(row) < 0:
             k = next(i for i, b in enumerate(row) if b < 0)
             refutation = (d, start + k, row[k])
             break
         best, certificate = d, row
-    return QDepthResult(
-        best, BetaTable(best, start, tuple(certificate)), low, high, refutation
-    )
+    table = BetaTable(best, start, tuple(certificate))
+    return QDepthResult(best, table, low, high, refutation)
+
+
+def scan(evals: list[int], start: int) -> QDepthResult:
+    """Depth scan over nonnegative values evals[j - start] = h(j): the rows
+    d = start, ... up to the window top read off them (``_window``) or the
+    last value, walked by ``_walk``.  A short read that meets no negative
+    row reports a depth below the window top and no refutation.  The rows
+    are ``_rows``, which the fault hook never reaches: this is the alpha
+    route's scan, and ``qdepth`` walks its own stream.
+    """
+    low, high = _window(evals, start)
+    return _walk(islice(_rows(evals, start), high - start + 1), start, low, high)
 
 
 def beta_table(h: HilbertFunction, d: int) -> BetaTable:
@@ -268,23 +282,25 @@ def qdepth(h: HilbertFunction) -> QDepthResult:
     """Largest d whose beta row is nonnegative, with certificate.
 
     The window is read by one ``h.values`` call, which raises on a negative
-    value or a window wider than MAX_WINDOW.  Under ``FLIP`` the rows are
-    scanned from k0 up to the first negative one.  Otherwise a probe scans
-    the first sqrt(TOP_ROW_RATIO T W) values, T numerator terms and W
-    values; if it neither refutes nor reaches the window top, one
-    ``_top_row`` at the top that is nonnegative proves the top is the depth
-    (prefix-sum lemma), and a negative one falls back to the full scan.
+    value or a window wider than MAX_WINDOW, and its top is read back off
+    those values.  One stream of ``beta_rows`` from k0 to the top is walked
+    once.  Its first P rows are a probe, P = sqrt(TOP_ROW_RATIO T W) for T
+    numerator terms and W values, or the whole window under ``FLIP``.  If
+    the probe neither refutes nor reaches the top, one ``_top_row`` at the
+    top that is nonnegative proves the top is the depth (prefix-sum lemma),
+    and a negative one resumes the walk from the probe's last row.
     d = k0 is always feasible because beta(k0, k0) = h(k0) > 0.
     """
-    low, high = bounds(h)
-    evals = h.values(low, high)
-    if FLIP:
-        return scan(evals, low, True)
-    probe = scan(evals[:isqrt(TOP_ROW_RATIO * len(h.numerator) * len(evals))], low)
-    top = probe.upper_bound
-    if probe.refutation is not None or probe.qdepth == top:
+    evals = h.values(*bounds(h))
+    low, high = _window(evals, h.k0)
+    rows = islice(beta_rows(evals, low), high - low + 1)
+    size = len(evals) if FLIP else isqrt(TOP_ROW_RATIO * len(h.numerator) * len(evals))
+    probe = _walk(islice(rows, size), low, low, high)
+    if probe.refutation is not None or probe.qdepth == high:
         return probe
-    row = _top_row(h, top)
+    row = _top_row(h, high)
     if min(row) >= 0:
-        return QDepthResult(top, BetaTable(top, low, tuple(row)), low, top, None)
-    return scan(evals, low)
+        return QDepthResult(high, BetaTable(high, low, tuple(row)), low, high, None)
+    # the probe's last row heads the rest of the stream: no row is rebuilt
+    resumed = chain([(probe.qdepth, probe.certificate.values)], rows)
+    return _walk(resumed, low, low, high)

@@ -20,9 +20,9 @@ route has no transform or window of its own: it runs the early-exit scan
 of ``depth`` from k = 0 over the alpha vector padded with one zero, at a
 cost of at most O(n^2) big-integer subtractions.  Row n + 1 of the padded vector always has
 a negative entry (its entries sum to h(n + 1) = 0, and were they all zero
-the inversion would give h = 0), so the scan stops by then.  It never
-applies the fault hook, so under ``HILBERTDEPTH_FLIP_BETA`` the two routes
-disagree.
+the inversion would give h = 0), so the scan stops by then.  ``scan``
+walks the plain kernel, which the fault hook never reaches, so under
+``HILBERTDEPTH_FLIP_BETA`` the two routes disagree.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from itertools import accumulate
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hilbertdepth import (
     BudgetExceededError,
@@ -20,6 +20,7 @@ from hilbertdepth import (
     extend,
     free_module,
     from_table,
+    parse_function,
     polynomial_ring,
     qdepth,
     qdepth_from_alpha,
@@ -239,7 +240,7 @@ def test_flip_hook_negates_diagonal(monkeypatch):
     evals = h.values(0, 3)
     flipped = beta_rows(evals, 0)  # the hook is read here, at the call
     monkeypatch.setattr("hilbertdepth.depth.FLIP", False)
-    assert list(flipped) == list(_rows(evals, 0, True))
+    assert list(flipped) == [(d, closed_form_row(h, d, True)) for d in range(4)]
     assert list(beta_rows(evals, 0)) == list(_rows(evals, 0))
     assert beta(h, 3, 3) == clean
 
@@ -380,7 +381,8 @@ def test_kernel_rows_match_closed_form(flip, h, extra):
     low, high = bounds(h)
     top = min(high, low + 24) + extra
     evals = [h.evaluate(j) for j in range(low, top + 1)]
-    rows = list(_rows(evals, low, flip))
+    with _flipped(flip):
+        rows = list(beta_rows(evals, low))
     assert [d for d, _ in rows] == list(range(low, top + 1))
     for d, row in rows:
         assert row == closed_form_row(h, d, flip)
@@ -460,8 +462,14 @@ _wide = st.recursive(
 )
 
 
+# T = 41 terms over W = 182 values: the probe walks 172 rows without a
+# negative one, the top row at 181 is negative, and the depth is 178.
+RESUMED = "sum(poly(180),shift(free(144;-1,-3,0),-1))"
+
+
 @settings(max_examples=80, deadline=None)
 @given(h=st.one_of(functions, _wide))
+@example(h=parse_function(RESUMED))
 def test_qdepth_equals_the_full_scan(h):
     # the probe and the top row give the whole result of one scan over the
     # window: depth, certificate, bounds and refutation
@@ -498,6 +506,25 @@ def test_top_row_route_is_taken_on_wide_sparse_windows(monkeypatch):
     assert count(complete_intersection(60, [36] * 40)) == (60, 0)
     monkeypatch.setattr(depth, "FLIP", True)
     assert count(polynomial_ring(512))[1] == 0
+
+
+def test_negative_top_row_resumes_the_probe(monkeypatch):
+    # one kernel stream per call: after a negative top row the walk goes on
+    # from the probe's last row instead of building rows from k0 again
+    calls = []
+
+    def counted(name):
+        clean = getattr(depth, name)
+        return lambda *args: calls.append(name) or clean(*args)
+
+    monkeypatch.setattr(depth, "_rows", counted("_rows"))
+    monkeypatch.setattr(depth, "_top_row", counted("_top_row"))
+    monkeypatch.setattr(depth, "FLIP", False)
+    result = qdepth(parse_function(RESUMED))
+    assert (result.qdepth, result.upper_bound) == (178, 181)
+    assert result.refutation == (179, 8, -6475267)
+    assert result.certificate.d == 178 and min(result.certificate.values) >= 0
+    assert sorted(calls) == ["_rows", "_top_row"]
 
 
 def alpha_beta_oracle(alpha, d, k):

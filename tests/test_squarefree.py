@@ -27,12 +27,13 @@ from hilbertdepth import (
     alpha_vector,
     check_qdepth_match,
     from_table,
+    qdepth,
     qdepth_from_alpha,
     random_quotient,
     reconstruct,
 )
-from hilbertdepth import squarefree
-from hilbertdepth.depth import _rows
+from hilbertdepth import depth, squarefree
+from hilbertdepth.depth import _rows, scan
 from hilbertdepth.squarefree import format_ideal, format_monomial, minimalize, parse_ideal
 
 from closed_form import closed_form_beta
@@ -290,6 +291,17 @@ def test_beta_consistency_between_routes():
             d, k, b = result.refutation
             assert d == result.qdepth + 1 and b < 0
             assert closed_form(d, k) == b
+
+
+def test_alpha_route_never_sees_the_flip_hook(monkeypatch):
+    # the hook reaches qdepth through beta_rows; the alpha route's scan walks
+    # the plain kernel, so its results under the hook are the clean ones
+    monkeypatch.setattr(depth, "FLIP", False)
+    clean = qdepth_from_alpha([1, 3, 3, 1]), scan([1, 3, 3, 1, 0], 0)
+    monkeypatch.setattr(depth, "FLIP", True)
+    assert (qdepth_from_alpha([1, 3, 3, 1]), scan([1, 3, 3, 1, 0], 0)) == clean
+    assert clean[0].qdepth == clean[1].qdepth == 3
+    assert qdepth(from_table({0: 1, 1: 3, 2: 3, 3: 1})).qdepth == 0
 
 
 def test_depth_routes_match():

@@ -513,8 +513,8 @@ def test_batteries_check_the_kernel(monkeypatch):
     # must both see it
     clean = depth._rows
 
-    def mutant(evals, start, flip=False):
-        for d, row in clean(evals, start, flip):
+    def mutant(evals, start):
+        for d, row in clean(evals, start):
             if d == start + 3:
                 row[-1] += 1
             yield d, row
