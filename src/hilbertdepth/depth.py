@@ -7,11 +7,12 @@ For a candidate depth d the transform
 inverts to h (see ``reconstruct``), and d is feasible when every entry with
 k0 <= k <= d is nonnegative.  The Hilbert depth is the largest feasible d;
 it always lies in the window [k0, k0 + floor(h1/h0)] where h0, h1 are the
-first two values of h.  ``bounds`` reads them off the numerator,
-h0 = c_k0 and h1 = c_(k0+1) + p c_k0, so ``qdepth`` reads h only over the
-window, in one ``values`` read held to ``series.MAX_WINDOW``, and reads
-the window back off those values (``_window``), as ``scan`` does.  Row d
-is the prefix sums of row d + 1,
+first two values of h.  ``_window`` is the one place that states this
+window lemma and the one place that refuses a negative h1.  ``bounds``
+passes it h0 = c_k0 and h1 = c_(k0+1) + p c_k0, read off the numerator, so
+``qdepth`` reads h only over the window, in one ``values`` read held to
+``series.MAX_WINDOW``; it then reads the window back off those values by
+``_window``, as ``scan`` does.  Row d is the prefix sums of row d + 1,
 
     beta(d, k) = sum_{j = k0..k} beta(d + 1, j)     (k0 <= k <= d),
 
@@ -74,7 +75,7 @@ from math import isqrt
 from operator import add, sub
 from typing import Iterator, NamedTuple
 
-from .errors import EmptyFunctionError, NegativeValueError, OutOfRangeError
+from .errors import NegativeValueError, OutOfRangeError
 from .series import HilbertFunction
 
 # Fault-injection hook for end-to-end tests of the violation path: when this
@@ -156,15 +157,18 @@ def beta_rows(evals: list[int], start: int) -> Iterator[tuple[int, list[int]]]:
 
 
 def _window(evals: list[int], start: int) -> tuple[int, int]:
-    """[k0, k0 + h1 // h0] read off values evals[j - start] = h(j): h0 is the
-    first nonzero value, at k0, and h1 the next one (0 past the end).  All
-    zeros raise EmptyFunctionError."""
-    h0 = next(filter(None, evals), 0)
-    if not h0:
-        raise EmptyFunctionError("every value is zero")
+    """The window lemma: the depth lies in [k0, k0 + h1 // h0], read off
+    values evals[j - start] = h(j).  h0 is the first nonzero value, at k0,
+    and h1 the next one (0 past the end).  A negative h1 raises
+    NegativeValueError.  Every caller passes a checked read, one with a
+    positive value, so no all-zero list reaches it."""
+    h0 = next(filter(None, evals))
     first = evals.index(h0)
+    k0 = start + first
     h1 = evals[first + 1] if first + 1 < len(evals) else 0
-    return start + first, start + first + h1 // h0
+    if h1 < 0:
+        raise NegativeValueError(f"coefficient at degree {k0 + 1} is {h1}")
+    return k0, k0 + h1 // h0
 
 
 def _walk(rows: Iterator, start: int, low: int, high: int) -> QDepthResult:
@@ -235,14 +239,12 @@ def reconstruct(table: BetaTable) -> list[int]:
 
 
 def bounds(h: HilbertFunction) -> tuple[int, int]:
-    """Inclusive search window [k0, k0 + floor(h1/h0)] for the depth, read
-    off the numerator: h0 = c_k0 and h1 = c_(k0+1) + p c_k0."""
+    """Inclusive search window [k0, k0 + floor(h1/h0)] for the depth, by
+    ``_window`` on h0 = c_k0 and h1 = c_(k0+1) + p c_k0 read off the
+    numerator in O(1), with no ``values`` read."""
     k0 = h.k0
     h0 = h.numerator[k0]
-    h1 = h.numerator.get(k0 + 1, 0) + h.denom_power * h0
-    if h1 < 0:
-        raise NegativeValueError(f"coefficient at degree {k0 + 1} is {h1}")
-    return k0, k0 + h1 // h0
+    return _window([h0, h.numerator.get(k0 + 1, 0) + h.denom_power * h0], k0)
 
 
 def _top_row(h: HilbertFunction, d: int) -> list[int]:

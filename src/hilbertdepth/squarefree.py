@@ -16,13 +16,16 @@ layer of the masks of that degree (see ``alpha_vector``).
 
 The depth computed directly from alpha agrees with the depth of that
 function; ``check_qdepth_match`` exercises the equivalence.  The alpha
-route has no transform or window of its own: it runs the early-exit scan
-of ``depth`` from k = 0 over the alpha vector padded with one zero, at a
-cost of at most O(n^2) big-integer subtractions.  Row n + 1 of the padded vector always has
-a negative entry (its entries sum to h(n + 1) = 0, and were they all zero
-the inversion would give h = 0), so the scan stops by then.  ``scan``
-walks the plain kernel, which the fault hook never reaches, so under
-``HILBERTDEPTH_FLIP_BETA`` the two routes disagree.
+route has no input rule, transform or window of its own.  It holds its
+vector to ``from_table``'s rule, so a negative, empty or all-zero vector
+raises the same ``HilbertDepthError`` a table does.  Then it runs the
+early-exit scan of ``depth`` from k = 0 over the alpha vector padded with
+one zero, at a cost of at most O(n^2) big-integer subtractions.  Row n + 1
+of the padded vector always has a negative entry (its entries sum to
+h(n + 1) = 0, and were they all zero the inversion would give h = 0), so
+the scan stops by then.  ``scan`` walks the plain kernel, which the fault
+hook never reaches, so under ``HILBERTDEPTH_FLIP_BETA`` the two routes
+disagree.
 """
 
 from __future__ import annotations
@@ -203,11 +206,14 @@ def qdepth_from_alpha(alpha: list[int]) -> QDepthResult:
     """Depth of a degree-count vector, scanning rows d = 0, 1, ... up to the
     first one with a negative entry (at the latest row n + 1).
 
-    The rows start at k = 0, so certificate tables may carry leading zeros;
-    the reported window is the Hilbert-function one, which ``scan`` reads
-    off the vector.  alpha counts as 0 past n, which the refutation row at
-    n + 1 can reach.  An empty or all-zero vector raises EmptyFunctionError.
+    The vector first passes ``from_table``'s input rule, the one that tables
+    meet: a negative entry raises NegativeValueError at its degree, and an
+    empty or all-zero vector raises EmptyFunctionError.  The rows start at
+    k = 0, so certificate tables may carry leading zeros; the reported
+    window is the Hilbert-function one, which ``scan`` reads off the vector.
+    alpha counts as 0 past n, which the refutation row at n + 1 can reach.
     """
+    from_table(dict(enumerate(alpha)))
     return scan([*alpha, 0], 0)
 
 

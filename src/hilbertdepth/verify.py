@@ -17,7 +17,10 @@ sides.  Every other battery reports each failed law through a
 ``report.reporter`` whose prefix replays the case: the case number and h
 as JSON for ``extension`` and ``structural``, n and the degrees for
 ``ci-recursion`` and ``ci-truncation``, n and the seed for ``quotients``.
-The prefix is built only when a law fails.
+The prefix is built only when a law fails.  A law that two batteries check
+has one helper, which both call with their reporter: ``_extension_law``
+(qdepth(extend(h)) >= qdepth(h)) and ``_parity_law`` serve ``extension``
+and ``structural``.
 """
 
 from __future__ import annotations
@@ -227,19 +230,27 @@ def _parity_law(evals: list[int], extended: HilbertFunction, fail) -> None:
             return
 
 
+def _extension_law(h: HilbertFunction, depth: int, fail) -> HilbertFunction:
+    """The extension theorem: adjoining a variable never lowers the depth,
+    qdepth(extend(h)) >= depth = qdepth(h); a drop goes to the case's
+    reporter ``fail``.  Returns extend(h), which the caller's parity check
+    reuses."""
+    extended = extend(h)
+    lifted = qdepth(extended).qdepth
+    if lifted < depth:
+        fail("extension", f">= {depth}", lifted)
+    return extended
+
+
 def verify_extension(trials: int, seed: int) -> tuple[int, list[Violation]]:
-    """Adjoining a variable never lowers the depth, and the parity identity
-    holds for the extended beta diagonal."""
+    """Adjoining a variable never lowers the depth (``_extension_law``), and
+    the parity identity holds for the extended beta diagonal."""
     violations = []
     rng = random.Random(seed)
     for case in range(trials):
         h = random_hilbert_function(rng)
         fail = reporter(violations, lambda: f"case {case}: h={_describe(h)}")
-        extended = extend(h)
-        base = qdepth(h).qdepth
-        lifted = qdepth(extended).qdepth
-        if lifted < base:
-            fail("extension", f">= {base}", lifted)
+        extended = _extension_law(h, qdepth(h).qdepth, fail)
         _parity_law(h.values(h.k0, h.k0 + 10), extended, fail)
     return trials, violations
 
@@ -255,8 +266,8 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
     call the kernel.  When the depth d0 lies in that range, the kernel's
     row d0 must equal the certificate, which ``qdepth`` may have built from
     the numerator by ``_top_row`` instead of the kernel.  The parity check
-    reuses the first 11 of those 13 values, and extend(h) is built once for
-    both the extension check and the parity check (see ``_parity_law``).
+    reuses the first 11 of those 13 values, and extend(h) is built once, by
+    ``_extension_law``, for both the extension check and the parity check.
     Every failed law goes to the case's reporter."""
     violations = []
     rng = random.Random(seed)
@@ -294,10 +305,7 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
         d_sum = qdepth(h + other).qdepth
         if d_sum < min(d0, d_other):
             fail(f"sum with {_describe(other)}", f">= {min(d0, d_other)}", d_sum)
-        extended = extend(h)
-        lifted = qdepth(extended).qdepth
-        if lifted < d0:
-            fail("extension", f">= {d0}", lifted)
+        extended = _extension_law(h, d0, fail)
         k0 = h.k0
         evals = h.values(k0, k0 + 12)
         for d, row in beta_rows(evals, k0):

@@ -126,18 +126,34 @@ def test_bounds():
     assert bounds(from_table({2: 2, 3: 5})) == (2, 4)
 
 
-def test_bounds_from_the_numerator_match_the_values():
+def test_bounds_from_the_numerator_match_the_values(monkeypatch):
     rng = random.Random(77)
-    for _ in range(300):
-        h = random_hilbert_function(rng)
+    cases = [random_hilbert_function(rng) for _ in range(300)]
+    cases += [polynomial_ring(4096), from_table({0: 1, 1: 3_000_000})]
+    expected = []
+    for h in cases:
         h0, h1 = h.values(h.k0, h.k0 + 1)
-        assert bounds(h) == (h.k0, h.k0 + h1 // h0)
+        expected.append((h.k0, h.k0 + h1 // h0))
+
+    # bounds reads the numerator in O(1), never the values
+    def refuse(self, lo, hi):
+        raise AssertionError(f"values({lo}, {hi}) was read")
+
+    monkeypatch.setattr(HilbertFunction, "values", refuse)
+    assert [bounds(h) for h in cases] == expected
 
 
 def test_bounds_reject_a_negative_second_value():
     # h(0) = 1, h(1) = 1 - 5 = -4
     with pytest.raises(NegativeValueError, match="^coefficient at degree 1 is -4$"):
         qdepth(HilbertFunction({0: 1, 1: -5}, 1))
+    # bounds itself refuses a raw h(k0 + 1) < 0, by the window lemma's one
+    # check: h(3), h(4) = 2, -9 + 2 * 2; h(-1), h(0) = 1, -3
+    cases = [({0: 1, 1: -5}, 1, 1, -4), ({3: 2, 4: -9}, 2, 4, -5), ({-1: 1, 0: -3}, 0, 0, -3)]
+    for numerator, p, degree, value in cases:
+        message = f"^coefficient at degree {degree} is {value}$"
+        with pytest.raises(NegativeValueError, match=message):
+            bounds(HilbertFunction(numerator, p))
 
 
 def test_negative_values_past_the_window_do_not_matter():

@@ -19,6 +19,7 @@ from hilbertdepth import (
     EmptyFunctionError,
     GenerationFailedError,
     InvalidQuotientError,
+    NegativeValueError,
     OutOfRangeError,
     ParseError,
     SquarefreeIdeal,
@@ -236,9 +237,23 @@ def test_qdepth_quotient_examples():
 
 
 def test_qdepth_from_alpha_rejects_zero_vector():
-    for alpha in ([], [0, 0, 0]):
+    for alpha in ([], [0, 0], [0, 0, 0]):
         with pytest.raises(EmptyFunctionError):
             qdepth_from_alpha(alpha)
+
+
+@pytest.mark.parametrize(
+    "alpha", [[1, -1], [-1, 2], [0, 1, -5, 3], [1, 3, -1], [2, 0, -1]]
+)
+def test_qdepth_from_alpha_rejects_a_negative_entry_at_its_degree(alpha):
+    # the alpha route holds its vector to the table input rule: no crash
+    # inside the scan and no depth read off a vector that is no function
+    k = next(k for k, a in enumerate(alpha) if a < 0)
+    message = f"^table value at degree {k} is {alpha[k]}$"
+    with pytest.raises(NegativeValueError, match=message):
+        qdepth_from_alpha(alpha)
+    with pytest.raises(NegativeValueError, match=message):
+        from_table(dict(enumerate(alpha)))
 
 
 def test_check_qdepth_match_counts_alpha_once(monkeypatch):

@@ -575,3 +575,77 @@ def test_clean_batteries_build_no_descriptor(monkeypatch):
     monkeypatch.setattr(depth, "FLIP", True)
     assert not run_battery("structural", trials=5).passed
     assert calls and prefixes
+
+
+def _result_fault(change):
+    """A fault on ``verify.qdepth``: each result comes back through ``change``."""
+    def install(monkeypatch):
+        clean = verify.qdepth
+        monkeypatch.setattr(verify, "qdepth", lambda h: change(clean(h)))
+    return install
+
+
+def _shift_fault(offset):
+    """A fault on ``verify.shift``: every shift moves ``offset`` degrees too far."""
+    def install(monkeypatch):
+        monkeypatch.setattr(verify, "shift", lambda h, m: shift(h, m + offset))
+    return install
+
+
+def _scale_fault(monkeypatch):
+    # a scaled function that comes back shifted up by one degree
+    monkeypatch.setattr(verify, "scale", lambda h, r: shift(scale(h, r), -1))
+
+
+def _negative_first_entry(result):
+    values = result.certificate.values
+    return result._replace(
+        certificate=result.certificate._replace(values=(-1, *values[1:]))
+    )
+
+
+def _refutation_off_by_one(result):
+    if result.refutation is None:
+        return result
+    d, k, b = result.refutation
+    return result._replace(refutation=(d, k, b - 1))
+
+
+# (battery, law descriptor at the end of a violation's case, fault): each
+# fault breaks the law its row names, so a battery that lost that check
+# would report nothing for it
+_VACUITY_CASES = [
+    pytest.param(
+        "structural", r" window",
+        _result_fault(lambda r: r._replace(lower_bound=r.qdepth + 1)), id="window",
+    ),
+    pytest.param(
+        "structural", r" certificate", _result_fault(_negative_first_entry),
+        id="certificate",
+    ),
+    pytest.param(
+        "structural", r" refutation presence",
+        _result_fault(lambda r: r._replace(refutation=None)), id="refutation-presence",
+    ),
+    pytest.param(
+        "structural", r" refutation", _result_fault(_refutation_off_by_one),
+        id="refutation",
+    ),
+    pytest.param(
+        "structural", r" support cap",
+        _result_fault(lambda r: r._replace(qdepth=r.qdepth + 100)), id="support-cap",
+    ),
+    pytest.param("structural", r" shift m=-?\d+", _shift_fault(1), id="shift"),
+    pytest.param("structural", r" scale r=\d+", _scale_fault, id="scale"),
+    pytest.param("ci-recursion", r" series", _shift_fault(-1), id="series"),
+]
+
+
+@pytest.mark.parametrize("battery, law, fault", _VACUITY_CASES)
+def test_no_battery_check_is_vacuous(monkeypatch, battery, law, fault):
+    # checks that no clean or flipped run reaches: each must still report
+    # the fault that breaks its law
+    monkeypatch.setattr(depth, "FLIP", False)
+    fault(monkeypatch)
+    cases = [v.case for v in run_battery(battery, trials=12).violations]
+    assert any(re.search(law + "$", case) for case in cases), cases[:5]
