@@ -1,10 +1,15 @@
 """Command-line front end.
 
-Subcommands: qdepth, beta, sqf, hyp, verify.  Exit codes: 0 success, 1 a
-mathematical property was violated, 2 bad input or configuration.  JSON
-output serializes every mathematical integer as a decimal string so
-consumers never truncate, and is byte-identical across runs with the same
-seed and flags.
+Subcommands: qdepth, beta, sqf, hyp, verify.  Each is declared once, in
+``COMMANDS``: its handler, its help line and its arguments.
+``build_parser`` builds every subcommand from that table and adds the JSON
+flag to each, so a flag that every subcommand takes is one line there.
+``_emit_json`` names the subcommand in the JSON ``command`` field.
+
+Exit codes: 0 success, 1 a mathematical property was violated, 2 bad input
+or configuration.  JSON output serializes every mathematical integer as a
+decimal string so consumers never truncate, and is byte-identical across
+runs with the same seed and flags.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ def _read_arg(value: str) -> str:
             raise ParseError(f"{path} is not UTF-8 ({exc.reason})", exc.start) from exc
 
 
-def _emit_json(payload: dict) -> None:
+def _emit_json(args: argparse.Namespace, payload: dict) -> None:
+    payload["command"] = args.command
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
@@ -73,9 +79,7 @@ def cmd_qdepth(args: argparse.Namespace) -> int:
     h = parse_function(_read_arg(args.spec))
     result = qdepth(h)
     if args.json:
-        payload = {"command": "qdepth", "function": h.to_json_dict()}
-        payload.update(result.to_json_dict())
-        _emit_json(payload)
+        _emit_json(args, {"function": h.to_json_dict(), **result.to_json_dict()})
     else:
         _print_result(result)
     return 0
@@ -85,8 +89,7 @@ def cmd_beta(args: argparse.Namespace) -> int:
     h = parse_function(_read_arg(args.spec))
     table = beta_table(h, args.d)
     if args.json:
-        _emit_json({"command": "beta", "function": h.to_json_dict(),
-                    "table": table.to_json_dict()})
+        _emit_json(args, {"function": h.to_json_dict(), "table": table.to_json_dict()})
     else:
         _print_table(table)
     return 0
@@ -103,8 +106,8 @@ def cmd_sqf(args: argparse.Namespace) -> int:
     match = direct.qdepth == via_function.qdepth
     if args.json:
         _emit_json(
+            args,
             {
-                "command": "sqf",
                 "n": str(args.n),
                 "upper": format_ideal(upper),
                 "lower": format_ideal(lower),
@@ -134,8 +137,8 @@ def cmd_hyp(args: argparse.Namespace) -> int:
     table = coeff_table(n, n, n)
     if args.json:
         _emit_json(
+            args,
             {
-                "command": "hyp",
                 "n": str(n),
                 "gauss": [str(v) for v in row],
                 "bigE": {str(k): str(big_e(n, k)) for k in range(2, n + 1)},
@@ -180,8 +183,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     total = sum(len(r.violations) for r in reports)
     if args.json:
         _emit_json(
+            args,
             {
-                "command": "verify",
                 "seed": args.seed if args.seed is not None else DEFAULT_SEED,
                 "batteries": [r.to_json_dict() for r in reports],
                 "violationCount": total,
@@ -194,6 +197,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 print(f"    violation: {v}")
         print(f"total violations: {total}")
     return 0 if total == 0 else 1
+
+
+_SPEC = ("spec", {"help": "function expression, or @file"})
+
+# name: (handler, help line, [(flag, add_argument options), ...]), in the
+# order the help lists them.
+COMMANDS = {
+    "qdepth": (cmd_qdepth, "depth of a function expression", [_SPEC]),
+    "beta": (cmd_beta, "beta table of a function expression",
+             [_SPEC, ("--d", {"type": int, "required": True})]),
+    "sqf": (cmd_sqf, "depth of a squarefree monomial quotient", [
+        ("n", {"type": int, "help": "number of variables"}),
+        ("upper", {"help": 'outer ideal, e.g. "x1*x3, x2" ("1" = ring)'}),
+        ("lower", {"nargs": "?", "default": "0", "help": 'inner ideal (default "0")'}),
+        ("--max-vars", {"type": int, "default": None,
+                        "help": f"variable cap override (ceiling {HARD_VARIABLE_CAP})"}),
+    ]),
+    "hyp": (cmd_hyp, "exact hypergeometric tables for one n", [("n", {"type": int})]),
+    "verify": (cmd_verify, "run verification batteries", [
+        ("batteries", {"nargs": "*", "help": "battery names: " + ", ".join(BATTERIES)}),
+        ("--all", {"action": "store_true", "help": "run every battery"}),
+        ("--max-n", {"type": int, "default": None}),
+        ("--max-degree", {"type": int, "default": None}),
+        ("--trials", {"type": int, "default": None}),
+        ("--seed", {"type": int, "default": None,
+                    "help": f"randomized batteries seed (default {DEFAULT_SEED})"}),
+    ]),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,48 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Hilbert depth of Hilbert functions, with certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_qdepth = sub.add_parser("qdepth", help="depth of a function expression")
-    p_qdepth.add_argument("spec", help="function expression, or @file")
-    p_qdepth.add_argument("--json", action="store_true")
-    p_qdepth.set_defaults(func=cmd_qdepth)
-
-    p_beta = sub.add_parser("beta", help="beta table of a function expression")
-    p_beta.add_argument("spec", help="function expression, or @file")
-    p_beta.add_argument("--d", type=int, required=True)
-    p_beta.add_argument("--json", action="store_true")
-    p_beta.set_defaults(func=cmd_beta)
-
-    p_sqf = sub.add_parser("sqf", help="depth of a squarefree monomial quotient")
-    p_sqf.add_argument("n", type=int, help="number of variables")
-    p_sqf.add_argument("upper", help='outer ideal, e.g. "x1*x3, x2" ("1" = ring)')
-    p_sqf.add_argument("lower", nargs="?", default="0",
-                       help='inner ideal (default "0")')
-    p_sqf.add_argument("--max-vars", type=int, default=None,
-                       help=f"variable cap override (ceiling {HARD_VARIABLE_CAP})")
-    p_sqf.add_argument("--json", action="store_true")
-    p_sqf.set_defaults(func=cmd_sqf)
-
-    p_hyp = sub.add_parser("hyp", help="exact hypergeometric tables for one n")
-    p_hyp.add_argument("n", type=int)
-    p_hyp.add_argument("--json", action="store_true")
-    p_hyp.set_defaults(func=cmd_hyp)
-
-    p_verify = sub.add_parser("verify", help="run verification batteries")
-    p_verify.add_argument(
-        "batteries",
-        nargs="*",
-        help="battery names: " + ", ".join(BATTERIES),
-    )
-    p_verify.add_argument("--all", action="store_true", help="run every battery")
-    p_verify.add_argument("--max-n", type=int, default=None)
-    p_verify.add_argument("--max-degree", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help=f"randomized batteries seed (default {DEFAULT_SEED})")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
-
+    for name, (handler, help_line, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=handler)
     return parser
 
 

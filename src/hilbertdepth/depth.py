@@ -12,7 +12,7 @@ window lemma and the one place that refuses a negative h1.  ``bounds``
 passes it h0 = c_k0 and h1 = c_(k0+1) + p c_k0, read off the numerator, so
 ``qdepth`` reads h only over the window, in one ``values`` read held to
 ``series.MAX_WINDOW``; it then reads the window back off those values by
-``_window``, as ``scan`` does.  Row d is the prefix sums of row d + 1,
+``_window``, as ``_scan`` does.  Row d is the prefix sums of row d + 1,
 
     beta(d, k) = sum_{j = k0..k} beta(d + 1, j)     (k0 <= k <= d),
 
@@ -64,7 +64,7 @@ each row: ``beta_rows`` hands out a flipped copy, and the kernel keeps
 recurring on the clean row.  Flipped rows are not prefix sums of each
 other, so no top row can stand in for them: under the hook ``qdepth``
 probes its whole window, and the walk stops at the first flipped row with
-a negative entry.  ``scan`` walks ``_rows`` and never sees the hook.
+a negative entry.  ``_scan`` walks ``_rows`` and never sees the hook.
 """
 
 from __future__ import annotations
@@ -188,13 +188,18 @@ def _walk(rows: Iterator, start: int, low: int, high: int) -> QDepthResult:
     return QDepthResult(best, table, low, high, refutation)
 
 
-def scan(evals: list[int], start: int) -> QDepthResult:
+def _scan(evals: list[int], start: int) -> QDepthResult:
     """Depth scan over nonnegative values evals[j - start] = h(j): the rows
     d = start, ... up to the window top read off them (``_window``) or the
     last value, walked by ``_walk``.  A short read that meets no negative
     row reports a depth below the window top and no refutation.  The rows
     are ``_rows``, which the fault hook never reaches: this is the alpha
     route's scan, and ``qdepth`` walks its own stream.
+
+    It checks nothing: callers pass a checked read, nonnegative with a
+    positive value (``qdepth_from_alpha`` holds its vector to
+    ``from_table``'s rule first).  A negative or all-zero read ends in a
+    bare ``ValueError`` or ``StopIteration``, not a ``HilbertDepthError``.
     """
     low, high = _window(evals, start)
     return _walk(islice(_rows(evals, start), high - start + 1), start, low, high)

@@ -18,14 +18,14 @@ The depth computed directly from alpha agrees with the depth of that
 function; ``check_qdepth_match`` exercises the equivalence.  The alpha
 route has no input rule, transform or window of its own.  It holds its
 vector to ``from_table``'s rule, so a negative, empty or all-zero vector
-raises the same ``HilbertDepthError`` a table does.  Then it runs the
-early-exit scan of ``depth`` from k = 0 over the alpha vector padded with
-one zero, at a cost of at most O(n^2) big-integer subtractions.  Row n + 1
-of the padded vector always has a negative entry (its entries sum to
-h(n + 1) = 0, and were they all zero the inversion would give h = 0), so
-the scan stops by then.  ``scan`` walks the plain kernel, which the fault
-hook never reaches, so under ``HILBERTDEPTH_FLIP_BETA`` the two routes
-disagree.
+raises the same ``HilbertDepthError`` a table does.  Then it runs
+``depth``'s early-exit ``_scan``, which checks nothing itself, from k = 0
+over the alpha vector padded with one zero, at a cost of at most O(n^2)
+big-integer subtractions.  Row n + 1 of the padded vector always has a
+negative entry (its entries sum to h(n + 1) = 0, and were they all zero
+the inversion would give h = 0), so the scan stops by then.  ``_scan``
+walks the plain kernel, which the fault hook never reaches, so under
+``HILBERTDEPTH_FLIP_BETA`` the two routes disagree.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import random
 import re
 from typing import Iterable, NamedTuple
 
-from .depth import QDepthResult, qdepth, scan
+from .depth import QDepthResult, _scan, qdepth
 from .errors import (
     MAX_LITERAL_DIGITS,
     GenerationFailedError,
@@ -210,11 +210,11 @@ def qdepth_from_alpha(alpha: list[int]) -> QDepthResult:
     meet: a negative entry raises NegativeValueError at its degree, and an
     empty or all-zero vector raises EmptyFunctionError.  The rows start at
     k = 0, so certificate tables may carry leading zeros; the reported
-    window is the Hilbert-function one, which ``scan`` reads off the vector.
+    window is the Hilbert-function one, which ``_scan`` reads off the vector.
     alpha counts as 0 past n, which the refutation row at n + 1 can reach.
     """
     from_table(dict(enumerate(alpha)))
-    return scan([*alpha, 0], 0)
+    return _scan([*alpha, 0], 0)
 
 
 def check_qdepth_match(q: SquarefreeQuotient) -> bool:

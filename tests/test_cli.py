@@ -1,4 +1,10 @@
-"""End-to-end command-line contract: outputs, exit codes, JSON stability."""
+"""End-to-end command-line contract: outputs, exit codes, JSON stability.
+
+Most tests call ``cli.main`` in-process through ``run_cli``.  Those that
+start ``python -m hilbertdepth`` through ``run_python`` check what only a
+process shows (see ``cli_runner``), and between them its exit codes 0, 1
+and 2.
+"""
 
 import hashlib
 import json
@@ -6,7 +12,40 @@ import re
 import sys
 import time
 
+import pytest
 from cli_runner import run_cli, run_python
+
+from hilbertdepth.cli import COMMANDS
+
+
+def test_every_command_is_declared_in_the_table(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    top = run_cli("-h")
+    assert top.returncode == 0 and top.stderr == ""
+    for name, (_, help_line, arguments) in COMMANDS.items():
+        assert re.search(rf"^ +{name} +{re.escape(help_line)}$", top.stdout, re.M)
+        proc = run_cli(name, "-h")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith(f"usage: hilbertdepth {name} ")
+        for flag in [f for f, _ in arguments] + ["--json"]:
+            assert flag in proc.stdout
+
+
+# the arguments of one quick request per subcommand
+JSON_REQUESTS = {
+    "qdepth": ("poly(2)",),
+    "beta": ("poly(2)", "--d", "2"),
+    "sqf": ("2", "x1"),
+    "hyp": ("2",),
+    "verify": ("free", "--trials", "2"),
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_json_names_its_command(name):
+    proc = run_cli(name, *JSON_REQUESTS[name], "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == name
 
 
 def test_qdepth_poly():
@@ -53,7 +92,9 @@ def test_parse_error_exit_2():
 
 
 def test_deep_nesting_exit_2():
-    proc = run_cli("qdepth", "extend(" * 1200 + "poly(1)" + ")" * 1200)
+    # a process: no traceback, even at the fresh interpreter's stack depth
+    spec = "extend(" * 1200 + "poly(1)" + ")" * 1200
+    proc = run_python("-m", "hilbertdepth", "qdepth", spec)
     assert proc.returncode == 2
     assert "nesting" in proc.stderr and "position" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -80,7 +121,7 @@ def test_elaboration_error_names_the_failing_constructor():
 
 
 def test_ci_term_cap_exit_2():
-    proc = run_cli("qdepth", "ci(2; 1000000000000000)")
+    proc = run_python("-m", "hilbertdepth", "qdepth", "ci(2; 1000000000000000)")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
@@ -153,8 +194,9 @@ def test_sqf_huge_variable_count_exit_2():
 
 
 def test_verify_quotients_huge_max_n_exit_2():
-    proc = run_cli(
-        "verify", "quotients", "--max-n", "1000000000000", "--trials", "3", timeout=20
+    proc = run_python(
+        "-m", "hilbertdepth", "verify", "quotients", "--max-n", "1000000000000",
+        "--trials", "3", timeout=20,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -173,7 +215,9 @@ def test_verify_quotients_max_n_past_the_default_cap_exit_2():
 
 def test_qdepth_stops_at_first_negative_row():
     # a 3e6-wide window whose depth is 1: only rows 0..2 are built
-    proc = run_cli("qdepth", "table(0:1,1:3000000)", timeout=20)
+    proc = run_python(
+        "-m", "hilbertdepth", "qdepth", "table(0:1,1:3000000)", timeout=20
+    )
     assert proc.returncode == 0
     assert "qdepth:  1" in proc.stdout
     assert "refutation: beta at d=2, k=2 is -2999999" in proc.stdout
@@ -333,7 +377,8 @@ def test_cli_import_loads_no_dataclasses_or_fractions():
 
 
 def test_flip_hook_fails_verify():
-    proc = run_cli("verify", "polyring", flip=True)
+    # a process: the hook is read from the environment when depth is imported
+    proc = run_python("-m", "hilbertdepth", "verify", "polyring", flip=True)
     assert proc.returncode == 1
     assert "violation" in proc.stdout
     assert "poly(2)" in proc.stdout  # replayable descriptor
@@ -401,10 +446,11 @@ def test_exact_values_print_past_the_digit_cap():
     c2 = "9" * 3999 + "8" + "0" * 3999 + "1"
     twice = "1" + "9" * 3999 + "6" + "0" * 3999 + "2"
     spec = f"scale(scale(poly(2), {nines}), {nines})"
-    proc = run_cli("qdepth", spec)
+    # a process, so the cap that main lifts is the interpreter's default
+    proc = run_python("-m", "hilbertdepth", "qdepth", spec)
     assert proc.returncode == 0, proc.stderr
     assert f"[{c2}, 0, {twice}]" in proc.stdout
-    proc = run_cli("qdepth", spec, "--json")
+    proc = run_python("-m", "hilbertdepth", "qdepth", spec, "--json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["certificate"]["values"] == [c2, "0", twice]
 

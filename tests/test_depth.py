@@ -29,7 +29,7 @@ from hilbertdepth import (
     shift,
 )
 from hilbertdepth import depth
-from hilbertdepth.depth import BetaTable, _rows, _top_row, beta_rows, scan
+from hilbertdepth.depth import BetaTable, _rows, _scan, _top_row, beta_rows
 from hilbertdepth.series import MAX_WINDOW
 from hilbertdepth.verify import random_hilbert_function
 
@@ -439,7 +439,7 @@ def test_scan_reads_its_window_off_a_prefix(h, m):
     low, high = bounds(h)
     with _flipped(False):
         full = qdepth(h)
-    result = scan(h.values(low, low + m), low)
+    result = _scan(h.values(low, low + m), low)
     assert (result.lower_bound, result.upper_bound) == (low, high)
     if low + m >= high or full.qdepth < low + m:
         assert result == full
@@ -490,7 +490,7 @@ def test_qdepth_equals_the_full_scan(h):
     # the probe and the top row give the whole result of one scan over the
     # window: depth, certificate, bounds and refutation
     with _flipped(False):
-        assert qdepth(h) == scan(h.values(*bounds(h)), h.k0)
+        assert qdepth(h) == _scan(h.values(*bounds(h)), h.k0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -34,7 +34,7 @@ from hilbertdepth import (
     reconstruct,
 )
 from hilbertdepth import depth, squarefree
-from hilbertdepth.depth import _rows, scan
+from hilbertdepth.depth import _rows, _scan
 from hilbertdepth.squarefree import format_ideal, format_monomial, minimalize, parse_ideal
 
 from closed_form import closed_form_beta
@@ -312,9 +312,9 @@ def test_alpha_route_never_sees_the_flip_hook(monkeypatch):
     # the hook reaches qdepth through beta_rows; the alpha route's scan walks
     # the plain kernel, so its results under the hook are the clean ones
     monkeypatch.setattr(depth, "FLIP", False)
-    clean = qdepth_from_alpha([1, 3, 3, 1]), scan([1, 3, 3, 1, 0], 0)
+    clean = qdepth_from_alpha([1, 3, 3, 1]), _scan([1, 3, 3, 1, 0], 0)
     monkeypatch.setattr(depth, "FLIP", True)
-    assert (qdepth_from_alpha([1, 3, 3, 1]), scan([1, 3, 3, 1, 0], 0)) == clean
+    assert (qdepth_from_alpha([1, 3, 3, 1]), _scan([1, 3, 3, 1, 0], 0)) == clean
     assert clean[0].qdepth == clean[1].qdepth == 3
     assert qdepth(from_table({0: 1, 1: 3, 2: 3, 3: 1})).qdepth == 0
 
