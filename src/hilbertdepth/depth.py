@@ -32,10 +32,12 @@ so a scan costs O(q^2) big-integer subtractions, with q = qdepth - k0 + 2,
 and no binomial coefficients.  The scans stream the rows and keep two of
 them (the current one and the certificate).  The kernel is the only code
 here that computes beta from values: ``beta_table`` is its last row and
-``beta`` one entry of that row.  The closed form above lives in the tests,
-as the oracle they hold the kernel to, and they hold ``_top_row`` to the
-kernel.  ``reconstruct`` recovers a whole row's window by
-Horner's rule on the generating function of the inverse, one Pascal-sum
+``beta`` one entry of that row.  ``beta`` costs a whole row per entry, so
+nothing in the package calls it (the batteries read every entry off rows
+they build anyway); it stays as public API.  The closed form above lives
+in the tests, as the oracle they hold the kernel to, and they hold
+``_top_row`` to the kernel.  ``reconstruct`` recovers a whole row's window
+by Horner's rule on the generating function of the inverse, one Pascal-sum
 pass per entry, O(L^2) additions for a row of L entries and no state.  It
 adds where the kernel subtracts and never calls the kernel, so the
 inversion check stays independent of it.
@@ -198,7 +200,7 @@ def _scan(evals: list[int], start: int) -> QDepthResult:
 
     It checks nothing: callers pass a checked read, nonnegative with a
     positive value (``qdepth_from_alpha`` holds its vector to
-    ``from_table``'s rule first).  A negative or all-zero read ends in a
+    ``series.check_table`` first).  A negative or all-zero read ends in a
     bare ``ValueError`` or ``StopIteration``, not a ``HilbertDepthError``.
     """
     low, high = _window(evals, start)

@@ -24,7 +24,10 @@ through big_e(n, k) = (-1)^k c(k, k).
 
 The check_* batteries verify these statements over exhaustive desk-scale
 ranges and return their case count and violations instead of raising;
-``verify.run_battery`` turns them into reports.
+``verify.run_battery`` turns them into reports.  ``check_beta_identity``
+holds the kernel to the Gauss form on the ring: it reads all n + 1 entries
+off one ``beta_table`` row per n, so up to max_n = N it builds N rows and
+does O(N^3) kernel subtractions.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from __future__ import annotations
 from math import comb, factorial, perm
 from typing import TYPE_CHECKING, NamedTuple
 
-from .depth import beta
+# ``beta`` has no caller here: perfbench/spans.py traces this binding.
+from .depth import beta, beta_table
 from .errors import InvalidArityError, OutOfRangeError
 from .report import Violation, equality_law, reporter
 from .series import polynomial_ring
@@ -185,18 +189,20 @@ def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
 def check_beta_identity(max_n: int) -> tuple[int, list[Violation]]:
     """The kernel's ring row against the closed Gauss form.
 
-    Exact rational equality of beta(polynomial_ring(n), n, k), entry k of
+    Exact rational equality of beta(n, k) of polynomial_ring(n), entry k of
     the kernel's row n, and (-1)^k C(n, k) gauss_2f1(k, n) for all
-    0 <= k <= n <= max_n, by ``equality_law``.  Under the fault hook the
-    diagonal entries k = n fail.
+    0 <= k <= n <= max_n, by ``equality_law``.  Each n builds one
+    ``beta_table`` row (the ring's k0 is 0, so entry k sits at index k) and
+    reads every entry off it.  Under the fault hook the diagonal entries
+    k = n fail.
     """
 
     def cases():
         for n in range(1, max_n + 1):
-            ring = polynomial_ring(n)
-            for k in range(n + 1):
+            row = beta_table(polynomial_ring(n), n).values
+            for k, entry in enumerate(row):
                 gauss = (-1) ** k * comb(n, k) * gauss_2f1(k, n)
-                yield f"n={n} k={k}", gauss, beta(ring, n, k)
+                yield f"n={n} k={k}", gauss, entry
 
     return equality_law(cases())
 

@@ -208,16 +208,25 @@ class HilbertFunction:
         }
 
 
-def from_table(values: Mapping[int, int]) -> HilbertFunction:
-    """Finite-support function from a degree -> value table.
-
-    Zero values are allowed and vanish; at least one value must be positive.
-    """
+def check_table(values: Mapping[int, int]) -> None:
+    """The input rule of a degree -> value table, stated once: a negative
+    value raises NegativeValueError at its degree, and a table with no
+    positive value raises EmptyFunctionError.  ``from_table`` and the alpha
+    route (``squarefree.qdepth_from_alpha``) both hold their input to it."""
     for k, v in values.items():
         if v < 0:
             raise NegativeValueError(f"table value at degree {k} is {v}")
     if not any(values.values()):
         raise EmptyFunctionError("table has no positive value")
+
+
+def from_table(values: Mapping[int, int]) -> HilbertFunction:
+    """Finite-support function from a degree -> value table.
+
+    Zero values are allowed and vanish; at least one value must be positive
+    (``check_table``).
+    """
+    check_table(values)
     return HilbertFunction(values, 0)
 
 

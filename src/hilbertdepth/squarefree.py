@@ -17,8 +17,9 @@ layer of the masks of that degree (see ``alpha_vector``).
 The depth computed directly from alpha agrees with the depth of that
 function; ``check_qdepth_match`` exercises the equivalence.  The alpha
 route has no input rule, transform or window of its own.  It holds its
-vector to ``from_table``'s rule, so a negative, empty or all-zero vector
-raises the same ``HilbertDepthError`` a table does.  Then it runs
+vector to ``series.check_table``, the rule ``from_table`` applies, so a
+negative, empty or all-zero vector raises the same ``HilbertDepthError`` a
+table does, and no function is built for the check.  Then it runs
 ``depth``'s early-exit ``_scan``, which checks nothing itself, from k = 0
 over the alpha vector padded with one zero, at a cost of at most O(n^2)
 big-integer subtractions.  Row n + 1 of the padded vector always has a
@@ -43,7 +44,7 @@ from .errors import (
     ParseError,
     TooManyVariablesError,
 )
-from .series import from_table
+from .series import check_table, from_table
 
 DEFAULT_VARIABLE_CAP = 20
 HARD_VARIABLE_CAP = 28
@@ -206,20 +207,21 @@ def qdepth_from_alpha(alpha: list[int]) -> QDepthResult:
     """Depth of a degree-count vector, scanning rows d = 0, 1, ... up to the
     first one with a negative entry (at the latest row n + 1).
 
-    The vector first passes ``from_table``'s input rule, the one that tables
+    The vector first passes ``check_table``, the input rule that tables
     meet: a negative entry raises NegativeValueError at its degree, and an
     empty or all-zero vector raises EmptyFunctionError.  The rows start at
     k = 0, so certificate tables may carry leading zeros; the reported
     window is the Hilbert-function one, which ``_scan`` reads off the vector.
     alpha counts as 0 past n, which the refutation row at n + 1 can reach.
     """
-    from_table(dict(enumerate(alpha)))
+    check_table(dict(enumerate(alpha)))
     return _scan([*alpha, 0], 0)
 
 
 def check_qdepth_match(q: SquarefreeQuotient) -> bool:
     """The alpha-vector depth against the depth of its Hilbert function,
-    both from one count of the alpha vector."""
+    both from one count of the alpha vector, which is built into a function
+    once, for the function route."""
     alpha = alpha_vector(q)
     table = from_table(dict(enumerate(alpha)))
     return qdepth_from_alpha(alpha).qdepth == qdepth(table).qdepth

@@ -21,6 +21,10 @@ The prefix is built only when a law fails.  A law that two batteries check
 has one helper, which both call with their reporter: ``_extension_law``
 (qdepth(extend(h)) >= qdepth(h)) and ``_parity_law`` serve ``extension``
 and ``structural``.
+
+No battery calls ``depth.beta``, which builds a whole row for one entry.
+Each reads every kernel entry it checks off rows it builds anyway: one
+``beta_table`` row per function, or one ``beta_rows`` pass over a window.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import json
 import random
 import time
 
+# ``beta`` has no caller here: perfbench/spans.py traces this binding.
 from .depth import BetaTable, beta, beta_rows, beta_table, qdepth, reconstruct
 from .errors import GenerationFailedError, OutOfRangeError
 from .hypergeometric import (
@@ -261,11 +266,13 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
     inversion, and the parity identity, on seeded random functions.
 
     Each case reads h over its inversion window once and walks one kernel
-    pass over it: every row d = k0..k0 + 12 must give back those values,
-    all of them from one ``reconstruct`` call, by Pascal sums that never
-    call the kernel.  When the depth d0 lies in that range, the kernel's
-    row d0 must equal the certificate, which ``qdepth`` may have built from
-    the numerator by ``_top_row`` instead of the kernel.  The parity check
+    pass over it, rows d = k0..k0 + 12, kept as a list.  The refutation's
+    entry is read off that list when its row lies in the range, and off one
+    ``beta_table`` row beyond it.  Every row must give back those values,
+    each from one ``reconstruct`` call, by Pascal sums that never call the
+    kernel.  When the depth d0 lies in that range, the kernel's row d0 must
+    equal the certificate, which ``qdepth`` may have built from the
+    numerator by ``_top_row`` instead of the kernel.  The parity check
     reuses the first 11 of those 13 values, and extend(h) is built once, by
     ``_extension_law``, for both the extension check and the parity check.
     Every failed law goes to the case's reporter."""
@@ -289,9 +296,16 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
                 "absent iff depth = upper bound",
                 repr(result.refutation),
             )
+        k0 = h.k0
+        evals = h.values(k0, k0 + 12)
+        rows = [(d, tuple(row)) for d, row in beta_rows(evals, k0)]
         if result.refutation is not None:
             rd, rk, rb = result.refutation
-            if rb >= 0 or beta(h, rd, rk) != rb:
+            if k0 <= rd <= k0 + 12:
+                refuting = BetaTable(rd, k0, rows[rd - k0][1])
+            else:
+                refuting = beta_table(h, rd)
+            if rb >= 0 or refuting.value(rk) != rb:
                 fail("refutation", "negative beta", rb)
         if h.kf is not None and d0 > h.kf:
             fail("support cap", f"<= {h.kf}", d0)
@@ -306,10 +320,7 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
         if d_sum < min(d0, d_other):
             fail(f"sum with {_describe(other)}", f">= {min(d0, d_other)}", d_sum)
         extended = _extension_law(h, d0, fail)
-        k0 = h.k0
-        evals = h.values(k0, k0 + 12)
-        for d, row in beta_rows(evals, k0):
-            values = tuple(row)
+        for d, values in rows:
             if d == d0 and values != result.certificate.values:
                 fail(f"certificate row d={d}", values, result.certificate.values)
             recovered = reconstruct(BetaTable(d, k0, values))

@@ -15,6 +15,7 @@ import time
 import pytest
 from cli_runner import run_cli, run_python
 
+from hilbertdepth import cli, squarefree
 from hilbertdepth.cli import COMMANDS
 
 
@@ -174,6 +175,17 @@ def test_sqf_match_cases():
     proc = run_cli("sqf", "3", "x1*x2", "x1*x2*x3")
     assert proc.returncode == 0
     assert "qdepth from alpha:    2" in proc.stdout
+
+
+def test_sqf_builds_the_alpha_table_once(monkeypatch):
+    built = []
+    for module in (cli, squarefree):
+        clean = module.from_table
+        monkeypatch.setattr(
+            module, "from_table", lambda v, clean=clean: built.append(v) or clean(v)
+        )
+    assert run_cli("sqf", "3", "x1*x2", "x1*x2*x3").returncode == 0
+    assert built == [{0: 0, 1: 0, 2: 1, 3: 0}]
 
 
 def test_sqf_invalid_exit_2():

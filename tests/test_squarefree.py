@@ -257,15 +257,24 @@ def test_qdepth_from_alpha_rejects_a_negative_entry_at_its_degree(alpha):
 
 
 def test_check_qdepth_match_counts_alpha_once(monkeypatch):
-    calls = []
+    # the alpha route holds its vector to the table rule without building a
+    # function, so only the function route builds one
+    calls, built = [], []
 
     def counted(q):
         calls.append(q)
         return alpha_vector(q)
 
+    def counted_table(values):
+        built.append(values)
+        return from_table(values)
+
     monkeypatch.setattr(squarefree, "alpha_vector", counted)
+    monkeypatch.setattr(squarefree, "from_table", counted_table)
     assert check_qdepth_match(random_quotient(6, 4, 3, 2))
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(built) == 1
+    assert qdepth_from_alpha([0, 1, 1]).qdepth == 2
+    assert len(built) == 1
 
 
 def test_m_module():

@@ -4,6 +4,7 @@ import inspect
 import random
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,6 +15,7 @@ from hilbertdepth import (
     from_table,
     extend,
     hypergeometric,
+    parse_function,
     polynomial_ring,
     qdepth,
     shift,
@@ -21,6 +23,7 @@ from hilbertdepth import (
 )
 from hilbertdepth.depth import BetaTable
 from hilbertdepth.errors import OutOfRangeError
+from hilbertdepth.hypergeometric import gauss_2f1
 from hilbertdepth.report import VerificationReport, Violation, equality_law, reporter
 from hilbertdepth.series import scale
 from hilbertdepth.verify import (
@@ -464,6 +467,20 @@ def free_reference(trials, seed, max_n):
     return VerificationReport("free", trials, violations)
 
 
+def beta_identity_reference(max_n, flip):
+    violations = []
+    cases = 0
+    for n in range(1, max_n + 1):
+        ring = polynomial_ring(n)
+        for k in range(n + 1):
+            cases += 1
+            gauss = (-1) ** k * comb(n, k) * gauss_2f1(k, n)
+            kernel = closed_form_beta(ring, n, k, flip)
+            if kernel != gauss:
+                violations.append(Violation(f"n={n} k={k}", str(gauss), str(kernel)))
+    return VerificationReport("beta-identity", cases, violations)
+
+
 def _same_report(report, reference):
     return report.to_json_dict() == reference.to_json_dict()
 
@@ -505,6 +522,67 @@ def test_depth_law_batteries_match_per_case_reference(monkeypatch, flip):
         assert bool(wide.violations) == flip
     assert bool(run_battery("polyring", max_n=9).violations) == flip
     assert bool(run_battery("ci", max_n=4, max_degree=3).violations) == flip
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["clean", "flipped"])
+def test_beta_identity_matches_per_entry_reference(monkeypatch, flip):
+    monkeypatch.setattr(depth, "FLIP", flip)
+    for max_n in (0, 1, 2, 7, 25):
+        report = run_battery("beta-identity", max_n=max_n)
+        assert _same_report(report, beta_identity_reference(max_n, flip))
+    assert bool(run_battery("beta-identity", max_n=2).violations) == flip
+
+
+def test_beta_identity_builds_one_row_per_n(monkeypatch):
+    rows = []
+    clean = hypergeometric.beta_table
+
+    def counted(h, d):
+        rows.append(d)
+        return clean(h, d)
+
+    monkeypatch.setattr(depth, "FLIP", False)
+    monkeypatch.setattr(hypergeometric, "beta_table", counted)
+    assert run_battery("beta-identity", max_n=25).cases_run == 350
+    assert rows == list(range(1, 26))
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["clean", "flipped"])
+def test_no_battery_calls_beta(monkeypatch, flip):
+    # every battery reads its kernel entries off rows it builds anyway, so
+    # a ``beta`` that raises changes no report
+    monkeypatch.setattr(depth, "FLIP", flip)
+    before = {name: run_battery(name).to_json_dict() for name in BATTERIES}
+
+    def refused(h, d, k):
+        raise AssertionError(f"beta called at d={d}, k={k}")
+
+    for module in (depth, verify, hypergeometric):
+        monkeypatch.setattr(module, "beta", refused)
+    assert {name: run_battery(name).to_json_dict() for name in BATTERIES} == before
+
+
+def test_structural_reads_a_far_refutation_off_one_row(monkeypatch):
+    # depth 13 and refutation (14, 14) lie past the 13 rows k0..k0 + 12 each
+    # case walks, so the refutation's entry comes from one ``beta_table``
+    h = parse_function("sum(poly(14),table(13:1000000000))")
+    result = qdepth(h)
+    assert (h.k0, result.qdepth, result.refutation[:2]) == (0, 13, (14, 14))
+    rows = []
+    clean = verify.beta_table
+
+    def counted(g, d):
+        rows.append(d)
+        return clean(g, d)
+
+    monkeypatch.setattr(depth, "FLIP", False)
+    monkeypatch.setattr(verify, "beta_table", counted)
+    monkeypatch.setattr(verify, "random_hilbert_function", lambda rng: h)
+    assert run_battery("structural", trials=3).passed
+    assert rows == [14, 14, 14]
+    _result_fault(_refutation_off_by_one)(monkeypatch)
+    cases = [v.case for v in run_battery("structural", trials=3).violations]
+    assert cases == [f"case {i}: h={_describe(h)} refutation" for i in range(3)]
 
 
 def test_batteries_check_the_kernel(monkeypatch):
