@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilbertdepth import (
     complete_intersection,
@@ -21,7 +22,7 @@ from hilbertdepth import (
     shift,
     verify,
 )
-from hilbertdepth.depth import BetaTable
+from hilbertdepth.depth import BetaTable, reconstruct
 from hilbertdepth.errors import OutOfRangeError
 from hilbertdepth.hypergeometric import gauss_2f1
 from hilbertdepth.report import VerificationReport, Violation, equality_law, reporter
@@ -30,6 +31,7 @@ from hilbertdepth.verify import (
     BATTERIES,
     _describe,
     _degree_multisets,
+    _inverts,
     random_hilbert_function,
     run_battery,
 )
@@ -627,6 +629,61 @@ def test_structural_checks_the_inversion(monkeypatch):
         assert int(violation.actual) == int(violation.expected) + 1
 
 
+def _per_row_inversion(rows, evals, k0):
+    return all(
+        reconstruct(BetaTable(d, k0, values)) == evals[: d - k0 + 1]
+        for d, values in rows
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), extra=st.integers(-3, 3))
+def test_inverts_is_exactly_the_per_row_inversion(seed, extra):
+    # the one-pass test against one ``reconstruct`` per row, on the kernel
+    # rows d = k0..k0 + 12 of a pool draw and on perturbed copies of them,
+    # each relabeled d = k0, k0 + 1, ... as the kernel hands rows out
+    h = random_hilbert_function(random.Random(seed))
+    k0 = h.k0
+    evals = h.values(k0, k0 + 12)
+    rows = [values for _, values in depth._rows(evals, k0)]
+    variants = [rows]
+    for i, row in enumerate(rows):
+        before, after = rows[:i], rows[i + 1:]
+        for b in range(len(row)):
+            for delta in (1, -1):
+                bumped = row[:b] + [row[b] + delta] + row[b + 1:]
+                variants.append(before + [bumped] + after)
+        variants.append(before + [row[:-1] + [-row[-1]]] + after)
+        variants.append(before + after)
+        variants.append(before + [row + [extra]] + after)
+        variants.append(before + [row[:-1]] + after)
+    for variant in variants:
+        labeled = [(k0 + i, tuple(values)) for i, values in enumerate(variant)]
+        expected = _per_row_inversion(labeled, evals, k0)
+        assert _inverts(labeled, evals, k0) == expected, variant
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["clean", "flipped"])
+def test_structural_reconstructs_once_per_clean_case(monkeypatch, flip):
+    # one ``reconstruct`` of the top row per case; a case whose rows fail
+    # to invert adds one per row, 13, to name the failing rows
+    calls = []
+    clean = verify.reconstruct
+
+    def counted(table):
+        calls.append(table.d)
+        return clean(table)
+
+    monkeypatch.setattr(depth, "FLIP", flip)
+    monkeypatch.setattr(verify, "reconstruct", counted)
+    report = run_battery("structural", trials=40)
+    failing = {
+        v.case.split(":")[0] for v in report.violations if " inversion d=" in v.case
+    }
+    assert len(calls) == 40 + 13 * len(failing)
+    assert bool(failing) == flip
+
+
 def test_clean_batteries_build_no_descriptor(monkeypatch):
     # a case's descriptor, and a random case's JSON of h, is built only when
     # one of its laws fails
@@ -675,6 +732,32 @@ def _scale_fault(monkeypatch):
     monkeypatch.setattr(verify, "scale", lambda h, r: shift(scale(h, r), -1))
 
 
+def _row_fault(at, entry):
+    """A fault on ``depth._rows``: row start + ``at`` comes out as a copy
+    with its entry ``entry`` one higher, and the kernel keeps recurring on
+    the clean row, so the rows after it are clean."""
+    def install(monkeypatch):
+        clean = depth._rows
+
+        def mutant(evals, start):
+            for d, row in clean(evals, start):
+                if d == start + at:
+                    row = row.copy()
+                    row[entry] += 1
+                yield d, row
+
+        monkeypatch.setattr(depth, "_rows", mutant)
+    return install
+
+
+# row k0 + 5 is no longer the running sums of the clean row k0 + 6, and the
+# top row still inverts: only the prefix chain sees it
+_below_top_fault = _row_fault(5, 2)
+# the top row's last entry is no part of any running sum below it: only the
+# top row's ``reconstruct`` sees it
+_top_diagonal_fault = _row_fault(12, -1)
+
+
 def _negative_first_entry(result):
     values = result.certificate.values
     return result._replace(
@@ -715,6 +798,14 @@ _VACUITY_CASES = [
     ),
     pytest.param("structural", r" shift m=-?\d+", _shift_fault(1), id="shift"),
     pytest.param("structural", r" scale r=\d+", _scale_fault, id="scale"),
+    pytest.param(
+        "structural", r" inversion d=-?\d+ k=-?\d+", _below_top_fault,
+        id="inversion-prefix-chain",
+    ),
+    pytest.param(
+        "structural", r" inversion d=-?\d+ k=-?\d+", _top_diagonal_fault,
+        id="inversion-top-row",
+    ),
     pytest.param("ci-recursion", r" series", _shift_fault(-1), id="series"),
 ]
 
@@ -727,3 +818,29 @@ def test_no_battery_check_is_vacuous(monkeypatch, battery, law, fault):
     fault(monkeypatch)
     cases = [v.case for v in run_battery(battery, trials=12).violations]
     assert any(re.search(law + "$", case) for case in cases), cases[:5]
+
+
+@pytest.mark.parametrize(
+    "fault, at, entry",
+    [(_below_top_fault, 5, 2), (_top_diagonal_fault, 12, 12)],
+    ids=["prefix-chain", "top-row"],
+)
+def test_structural_names_each_failing_row_as_the_per_row_loop(
+    monkeypatch, fault, at, entry
+):
+    # a case that fails the one-pass test is explained by the per-row loop
+    # alone: the report equals the one with that test always failing, and
+    # each case fails the inversion law at the faulty entry only
+    monkeypatch.setattr(depth, "FLIP", False)
+    fault(monkeypatch)
+    report = run_battery("structural", trials=30)
+    monkeypatch.setattr(verify, "_inverts", lambda rows, evals, k0: False)
+    assert _same_report(report, run_battery("structural", trials=30))
+    inversions = [v for v in report.violations if " inversion d=" in v.case]
+    assert len(inversions) == 30
+    for case, violation in enumerate(inversions):
+        law = r"^case (\d+): .* inversion d=(-?\d+) k=(-?\d+)$"
+        number, d, k = map(int, re.search(law, violation.case).groups())
+        k0 = d - at
+        assert (number, k) == (case, k0 + entry)
+        assert int(violation.actual) == int(violation.expected) + 1
