@@ -24,15 +24,24 @@ through big_e(n, k) = (-1)^k c(k, k).
 
 The check_* batteries verify these statements over exhaustive desk-scale
 ranges and return their case count and violations instead of raising;
-``verify.run_battery`` turns them into reports.  ``check_beta_identity``
-holds the kernel to the Gauss form on the ring: it reads all n + 1 entries
-off one ``beta_table`` row per n, so up to max_n = N it builds N rows and
-does O(N^3) kernel subtractions.
+``verify.run_battery`` turns them into reports.  Both Gauss batteries read
+the whole row G_k = (-1)^k C(n, k) gauss_2f1(k, n), 0 <= k <= n, off
+Gauss's contiguous relation in the first parameter (DLMF 15.5(ii)),
+
+    (k + 1) G_(k+1) = 3k G_k + 2(n - k + 1) G_(k-1),  G_0 = 1,  G_1 = 0,
+
+in O(n) exact integer steps, and call ``gauss_2f1`` itself only at a fixed
+sample of entries and on failure.  G_k is beta(n, k) of the polynomial ring
+in n variables, so ``check_beta_identity`` holds the kernel's ring row to
+this one, and up to max_n = N its cost is the N kernel rows' O(N^3)
+subtractions.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from math import comb, factorial, perm
+from operator import mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 # ``beta`` has no caller here: perfbench/spans.py traces this binding.
@@ -78,26 +87,22 @@ def big_e(n: int, k: int) -> int:
     """Alternating binomial sum of rising factorials; positive on its domain.
 
     The term for j is (-1)^(k - j) C(k, j) (n)_j (n - k + 1)_(k - j).  The
-    sum starts from C(k, 0) = 1, (n)_0 = 1 and (n - k + 1)_k = n! / (n - k)!
-    (``perm(n, k)``), and steps j to j + 1 by
-    C(k, j + 1) = C(k, j) (k - j) / (j + 1),
-    (n)_(j + 1) = (n)_j (n + j) and
-    (n - k + 1)_(k - j - 1) = (n - k + 1)_(k - j) / (n - j), each an exact
-    integer step (n - j >= n - k + 1 >= 1), so the sum takes O(k) big-integer
-    operations instead of O(k^2).
+    sum starts from the j = 0 term (-1)^k (n - k + 1)_k, with
+    (n - k + 1)_k = n! / (n - k)! (``perm(n, k)``).  Since
+    C(k, j + 1) = C(k, j) (k - j) / (j + 1), (n)_(j + 1) = (n)_j (n + j) and
+    (n - k + 1)_(k - j - 1) = (n - k + 1)_(k - j) / (n - j), each term is the
+    one before times -(k - j)(n + j) / ((j + 1)(n - j)).  The next term is
+    an integer, so that division is exact (n - j >= n - k + 1 >= 1), and the
+    sum takes O(k) big-by-small integer operations instead of O(k^2).
     """
     if not 2 <= k <= n:
         raise OutOfRangeError(f"need 2 <= k <= n, got k={k}, n={n}")
     total = 0
-    choose, from_n, from_low = 1, 1, perm(n, k)
-    for j in range(k + 1):
-        term = choose * from_n * from_low
-        total += -term if (k - j) % 2 else term
-        if j < k:
-            choose = choose * (k - j) // (j + 1)
-            from_n *= n + j
-            from_low //= n - j
-    return total
+    term = (-1) ** k * perm(n, k)
+    for j in range(k):
+        total += term
+        term = -term * ((k - j) * (n + j)) // ((j + 1) * (n - j))
+    return total + term
 
 
 class CoeffTable(NamedTuple):
@@ -127,11 +132,7 @@ def coeff_table(n: int, kmax: int, jmax: int) -> CoeffTable:
     rows = [row1]
     for _ in range(2, kmax + 1):
         prev = rows[-1]
-        rows.append(
-            tuple(
-                prev[j] - j * prev[j - 1] if j else 1 for j in range(jmax + 1)
-            )
-        )
+        rows.append((1, *map(sub, prev[1:], map(mul, count(1), prev))))
     return CoeffTable(n, kmax, jmax, tuple(rows))
 
 
@@ -149,14 +150,28 @@ def geometric_square_series(n: int, order: int) -> list[int]:
     return result
 
 
+def _ring_row(n: int) -> tuple[int, ...]:
+    """(G_0, ..., G_n), G_k = (-1)^k C(n, k) gauss_2f1(k, n), by the
+    contiguous relation in the module docstring; n >= 1.  Each G_k is an
+    integer, so every division is exact."""
+    row = [1, 0]
+    for k in range(1, n):
+        row.append((3 * k * row[k] + 2 * (n - k + 1) * row[k - 1]) // (k + 1))
+    return tuple(row)
+
+
 def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
     """Signs of the terminating Gauss values, big_e, and the c-table.
 
     For every n up to max_n: the k = 0 and k = 1 Gauss values are exactly 1
     and 0; for 2 <= k <= n, (-1)^k gauss_2f1(k, n) > 0 and big_e(n, k) > 0;
-    and (-1)^j c(k, j) > 0 throughout rows k >= 2 of the table.  Each n has
-    one ``report.reporter`` with the prefix ``n={n}``, and every failed law
-    reports the value it already computed.
+    and (-1)^j c(k, j) > 0 throughout rows k >= 2 of the table.  The Gauss
+    sign is read off ``_ring_row``, since (-1)^k gauss_2f1(k, n) is
+    G_k / C(n, k); big_e stays its own O(k) sum, the independent route that
+    ``check_derivative_link`` needs.  Each c-row's signs are tested by one
+    min and one max, and only a row that fails them is walked entry by
+    entry.  Each n has one ``report.reporter`` with the prefix ``n={n}``,
+    and every failed law reports its value.
     """
     violations: list[Violation] = []
     cases = 0
@@ -169,17 +184,22 @@ def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
                 fail(f"k={k}", expected, value)
         if n < 2:
             continue
+        ring = _ring_row(n)
         table = coeff_table(n, n, n)
         for k in range(2, n + 1):
             cases += 1
-            value = (-1) ** k * gauss_2f1(k, n)
-            if value <= 0:
-                fail(f"k={k} gauss sign", "> 0", value)
+            if ring[k] <= 0:
+                from fractions import Fraction
+
+                fail(f"k={k} gauss sign", "> 0", Fraction(ring[k], comb(n, k)))
             e = big_e(n, k)
             if e <= 0:
                 fail(f"k={k} big_e", "> 0", e)
+            row = table.rows[k - 1]
+            if min(row[::2]) > 0 and max(row[1::2]) < 0:
+                continue
             sign = 1
-            for j, c in enumerate(table.rows[k - 1]):
+            for j, c in enumerate(row):
                 signed, sign = sign * c, -sign
                 if signed <= 0:
                     fail(f"k={k} j={j} c sign", "> 0", signed)
@@ -191,20 +211,26 @@ def check_beta_identity(max_n: int) -> tuple[int, list[Violation]]:
 
     Exact rational equality of beta(n, k) of polynomial_ring(n), entry k of
     the kernel's row n, and (-1)^k C(n, k) gauss_2f1(k, n) for all
-    0 <= k <= n <= max_n, by ``equality_law``.  Each n builds one
-    ``beta_table`` row (the ring's k0 is 0, so entry k sits at index k) and
-    reads every entry off it.  Under the fault hook the diagonal entries
-    k = n fail.
+    0 <= k <= n <= max_n: one case per entry.  Each n builds one
+    ``beta_table`` row (the ring's k0 is 0, so entry k sits at index k),
+    compares it with ``_ring_row(n)`` in one step, and holds both to
+    ``gauss_2f1`` at k = n // 2 and k = n.  Only an n that fails either test
+    builds its per-entry triples for ``equality_law``, which names every
+    failing entry.  Under the fault hook the diagonal entries k = n fail.
     """
+    cases = 0
+    violations: list[Violation] = []
+    for n in range(1, max_n + 1):
+        row = beta_table(polynomial_ring(n), n).values
+        cases += len(row)
 
-    def cases():
-        for n in range(1, max_n + 1):
-            row = beta_table(polynomial_ring(n), n).values
-            for k, entry in enumerate(row):
-                gauss = (-1) ** k * comb(n, k) * gauss_2f1(k, n)
-                yield f"n={n} k={k}", gauss, entry
+        def gauss(k: int) -> Fraction:
+            return (-1) ** k * comb(n, k) * gauss_2f1(k, n)
 
-    return equality_law(cases())
+        if row != _ring_row(n) or any(row[k] != gauss(k) for k in (n // 2, n)):
+            triples = ((f"n={n} k={k}", gauss(k), e) for k, e in enumerate(row))
+            violations += equality_law(triples)[1]
+    return cases, violations
 
 
 def check_derivative_link(max_n: int) -> tuple[int, list[Violation]]:

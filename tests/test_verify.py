@@ -469,7 +469,9 @@ def free_reference(trials, seed, max_n):
     return VerificationReport("free", trials, violations)
 
 
-def beta_identity_reference(max_n, flip):
+def beta_identity_reference(max_n, flip, gauss_2f1=gauss_2f1, bump=0):
+    """The battery entry by entry; ``bump`` is added to each kernel entry
+    k = 2 of a row with n >= 3, where that entry is interior."""
     violations = []
     cases = 0
     for n in range(1, max_n + 1):
@@ -477,7 +479,7 @@ def beta_identity_reference(max_n, flip):
         for k in range(n + 1):
             cases += 1
             gauss = (-1) ** k * comb(n, k) * gauss_2f1(k, n)
-            kernel = closed_form_beta(ring, n, k, flip)
+            kernel = closed_form_beta(ring, n, k, flip) + (bump if k == 2 < n else 0)
             if kernel != gauss:
                 violations.append(Violation(f"n={n} k={k}", str(gauss), str(kernel)))
     return VerificationReport("beta-identity", cases, violations)
@@ -529,10 +531,56 @@ def test_depth_law_batteries_match_per_case_reference(monkeypatch, flip):
 @pytest.mark.parametrize("flip", [False, True], ids=["clean", "flipped"])
 def test_beta_identity_matches_per_entry_reference(monkeypatch, flip):
     monkeypatch.setattr(depth, "FLIP", flip)
-    for max_n in (0, 1, 2, 7, 25):
+    for max_n in (0, 1, 2, 7, 25, 60):
         report = run_battery("beta-identity", max_n=max_n)
         assert _same_report(report, beta_identity_reference(max_n, flip))
     assert bool(run_battery("beta-identity", max_n=2).violations) == flip
+
+
+def test_beta_identity_reports_sampled_gauss_and_interior_kernel_faults(
+    monkeypatch,
+):
+    # gauss_2f1 off at the two sampled entries k = n // 2 (n = 7) and
+    # k = n (n = 9); then a kernel off by one at the interior entry k = 2
+    faults = {(3, 7), (9, 9)}
+
+    def faulty_gauss(k, n):
+        return gauss_2f1(k, n) + ((k, n) in faults)
+
+    monkeypatch.setattr(depth, "FLIP", False)
+    monkeypatch.setattr(hypergeometric, "gauss_2f1", faulty_gauss)
+    report = run_battery("beta-identity", max_n=12)
+    assert [v.case for v in report.violations] == ["n=7 k=3", "n=9 k=9"]
+    assert _same_report(report, beta_identity_reference(12, False, faulty_gauss))
+    monkeypatch.undo()
+
+    clean = hypergeometric.beta_table
+
+    def bumped(h, d):
+        table = clean(h, d)
+        if d < 3:
+            return table
+        values = table.values
+        return table._replace(values=(*values[:2], values[2] + 1, *values[3:]))
+
+    monkeypatch.setattr(depth, "FLIP", False)
+    monkeypatch.setattr(hypergeometric, "beta_table", bumped)
+    report = run_battery("beta-identity", max_n=12)
+    assert [v.case for v in report.violations] == [f"n={n} k=2" for n in range(3, 13)]
+    assert _same_report(report, beta_identity_reference(12, False, bump=1))
+
+
+def test_beta_identity_calls_gauss_at_two_entries_per_n(monkeypatch):
+    calls = []
+
+    def counted(k, n):
+        calls.append(n)
+        return gauss_2f1(k, n)
+
+    monkeypatch.setattr(depth, "FLIP", False)
+    monkeypatch.setattr(hypergeometric, "gauss_2f1", counted)
+    assert run_battery("beta-identity", max_n=25).passed
+    assert calls and all(calls.count(n) <= 2 for n in range(1, 26))
 
 
 def test_beta_identity_builds_one_row_per_n(monkeypatch):
