@@ -2,9 +2,19 @@
 
 Subcommands: qdepth, beta, sqf, hyp, verify.  Each is declared once, in
 ``COMMANDS``: its handler, its help line and its arguments.
-``build_parser`` builds every subcommand from that table and adds the JSON
-flag to each, so a flag that every subcommand takes is one line there.
+``_declare`` fills a parser from one entry and adds the JSON flag, so a
+flag that every subcommand takes is one line there.  ``build_parser``
+builds the whole tree, every subcommand under one top-level parser.
 ``_emit_json`` names the subcommand in the JSON ``command`` field.
+
+``main`` parses a line whose first argument names a subcommand with that
+subcommand's parser alone, and any other line (none, ``-h``, an unknown or
+abbreviated name, an option before the name) with the whole tree.  The two
+agree exactly: the top level has no positional but the subcommand and no
+option that takes a value, so argparse hands every argument after the
+name to the subparser, whose names it matches exactly, never by
+abbreviation; and ``_Parser.error`` prints no usage line, so a usage error
+is the subparser's own text either way.
 
 Exit codes: 0 success, 1 a mathematical property was violated, 2 bad input
 or configuration.  JSON output serializes every mathematical integer as a
@@ -234,19 +244,37 @@ class _Parser(argparse.ArgumentParser):
         raise HilbertDepthError(message)
 
 
+def _declare(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Fill ``parser`` as subcommand ``name``: its arguments from
+    ``COMMANDS``, ``--json``, and its handler as ``func``.  Returns it."""
+    handler, _, arguments = COMMANDS[name]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hilbertdepth",
         description="Exact Hilbert depth of Hilbert functions, with certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_line, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=handler)
+    for name, (_, help_line, _) in COMMANDS.items():
+        _declare(sub.add_parser(name, help=help_line), name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns or raises, building
+    only the named subcommand's parser when ``argv[0]`` names one."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    name = argv[0]
+    args = _declare(_Parser(prog=f"hilbertdepth {name}"), name).parse_args(argv[1:])
+    args.command = name
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -257,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     # flag value instead of converting it in quadratic time.
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         if cap is not None:
             sys.set_int_max_str_digits(0)
         return args.func(args)

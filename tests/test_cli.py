@@ -7,16 +7,19 @@ and 2.
 """
 
 import hashlib
+import io
 import json
 import re
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from cli_runner import run_cli, run_python
 
 from hilbertdepth import cli, squarefree
 from hilbertdepth.cli import COMMANDS
+from hilbertdepth.errors import HilbertDepthError
 
 
 def test_every_command_is_declared_in_the_table(monkeypatch):
@@ -47,6 +50,93 @@ def test_json_names_its_command(name):
     proc = run_cli(name, *JSON_REQUESTS[name], "--json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == name
+
+
+# Lines that main parses by one subcommand's parser, and lines it hands to
+# the whole tree.  The lines with "--" matter most: argparse's handling of
+# it changed in later 3.12 and 3.13 patch releases.
+PARSE_CORPUS = [
+    [],
+    ["-h"],
+    *([name, "-h"] for name in COMMANDS),
+    ["qdepth", "--help"],
+    ["qdepth", "poly(3)", "-h"],
+    ["--json", "qdepth", "poly(3)"],
+    ["-h", "qdepth"],
+    ["--", "qdepth", "poly(3)"],
+    ["qdep", "poly(3)"],
+    ["QDEPTH", "poly(3)"],
+    ["qdepth", "poly(3)"],
+    ["qdepth", "--", "-x"],
+    ["qdepth", "--", "--json"],
+    ["qdepth", "--", "poly(3)"],
+    ["qdepth", "poly(3)", "--"],
+    ["qdepth", "-x"],
+    ["hyp", "--", "-1"],
+    ["hyp", "-1"],
+    ["verify", "--", "--all"],
+    ["verify", "free", "--", "--all"],
+    ["qdepth", "poly(3)", "--js"],
+    ["qdepth", "poly(3)", "--json", "--json"],
+    ["qdepth", "poly(3)", "--json=1"],
+    ["verify", "--al"],
+    ["verify", "--all", "--json"],
+    ["verify", "free", "--max", "3"],
+    ["verify", "free", "--max-n", "3", "--seed", "-3"],
+    ["sqf", "3", "x1", "--max", "5"],
+    ["sqf", "3", "x1"],
+    ["qdepth"],
+    ["sqf", "3"],
+    ["hyp"],
+    ["beta", "poly(3)"],
+    ["beta", "poly(3)", "--d", "x"],
+    ["beta", "poly(3)", "--d", "3.5"],
+    ["beta", "poly(3)", "--d"],
+    ["beta", "poly(3)", "--d=3"],
+    ["beta", "--d", "-3", "poly(3)"],
+    ["qdepth", "poly(3)", "extra"],
+    ["hyp", "3", "4"],
+    ["sqf", "2", "x1", "0", "extra"],
+]
+
+
+def parse_outcome(parse, argv):
+    """What ``parse(argv)`` gives: its namespace with the handler by name,
+    its usage error, or its exit code (from ``-h``); then what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parse(argv)
+        outcome = ("args", {**vars(args), "func": args.func.__name__})
+    except HilbertDepthError as exc:
+        outcome = ("error", str(exc))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return (*outcome, out.getvalue(), err.getvalue())
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_main_parses_as_the_whole_tree(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    tree = parse_outcome(lambda a: cli.build_parser().parse_args(a), list(argv))
+    assert parse_outcome(cli._parse_args, list(argv)) == tree
+
+
+class WholeTreeBuilt(Exception):
+    pass
+
+
+def test_a_subcommand_line_never_builds_the_whole_tree(monkeypatch):
+    def refuse():
+        raise WholeTreeBuilt
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for name, request in JSON_REQUESTS.items():
+        proc = run_cli(name, *request, "--json")
+        assert proc.returncode == 0, proc.stderr
+    for argv in (["-h"], ["--json", "qdepth", "poly(3)"]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1 and "WholeTreeBuilt" in proc.stderr
 
 
 def test_qdepth_poly():
