@@ -7,7 +7,13 @@ numerator coefficient is strictly positive (it equals h at the first nonzero
 degree).  Every construction used here - finite tables, polynomial rings,
 free modules with shifts, complete intersections - produces such a form, and
 the class is closed under pointwise sum, integer scaling, degree shift, and
-adjoining one variable (prefix sums).  A sum lifts the T-term numerator
+adjoining one variable (prefix sums).  Normalization - dropping zero
+terms and dividing by (1 - t) while that is exact - happens in one place,
+the constructor, for mappings that come from outside and for sums, whose
+terms can cancel.  Shift, scale, extend and complete intersections build
+numerators that are canonical by construction (each says why), so they skip
+it and keep the mapping they built: no second copy, no pass over the
+coefficients.  A sum lifts the T-term numerator
 over the lower power by the j + 1 entries of the binomial row of (1 - t)^j,
 j the gap between the powers: O(T (j + 1)) products, sparse in the exponents.
 
@@ -51,9 +57,9 @@ from .errors import (
 )
 
 # Largest complete-intersection numerator built, in terms (1 + sum(d_i - 1)).
-# It bounds the list length only: at the cap, one form takes about 0.45 s and
-# 180 MiB, most of it the numerator mapping, and each further form adds a
-# pass over longer integers.
+# It bounds the list length only: at the cap, one form takes about 0.15 s and
+# 120 MiB of RSS, most of it the one numerator mapping, and each further form
+# adds a pass over longer integers.
 MAX_CI_TERMS = 1 << 20
 # Largest build work, in terms times prefix-sum passes (forms of degree > 1),
 # an upper bound on the big-integer additions: a pass over the lower half
@@ -73,7 +79,11 @@ class HilbertFunction:
     The constructor takes any degree -> integer mapping and keeps its
     nonzero entries, divided by (1 - t) while that is exact, as the
     read-only mapping ``numerator``, and its lowest exponent, the first
-    degree with a nonzero value, as ``k0``.  Instances are immutable:
+    degree with a nonzero value, as ``k0``.  That is the only normalizing
+    step; ``shift``, ``scale``, ``extend`` and ``complete_intersection``
+    build outputs that are canonical by construction and go around it
+    through ``_canonical``, so a large numerator is not copied and summed
+    once more.  Instances are immutable:
     assigning or deleting an attribute raises ``AttributeError``, a copy is
     the instance itself, and every operation returns a fresh value, so they
     are safe to share across threads.  ``pickle`` and ``deepcopy`` rebuild
@@ -100,9 +110,25 @@ class HilbertFunction:
             raise NegativeValueError(
                 f"value at first nonzero degree {k0} is negative"
             )
-        object.__setattr__(self, "numerator", MappingProxyType(num))
+        self._set(num, p, k0)
+
+    def _set(self, num: Mapping[int, int], p: int, k0: int) -> HilbertFunction:
+        """Set the three slots, the one place they are set: a dict is
+        wrapped read-only, another instance's ``numerator`` is shared."""
+        if not isinstance(num, MappingProxyType):
+            num = MappingProxyType(num)
+        object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denom_power", p)
         object.__setattr__(self, "k0", k0)
+        return self
+
+    @classmethod
+    def _canonical(cls, num: Mapping[int, int], p: int, k0: int) -> HilbertFunction:
+        """An instance from a numerator already in canonical form, with k0
+        its lowest exponent, taken as given: no copy, no zero filter and no
+        (1 - t) test.  Only operations whose output is canonical by
+        construction call it; each says why in its docstring."""
+        return object.__new__(cls)._set(num, p, k0)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"HilbertFunction is immutable; cannot set {name!r}")
@@ -264,7 +290,12 @@ def complete_intersection(n: int, degrees: Iterable[int]) -> HilbertFunction:
     T big-integer additions, so r forms cost O(r*T).  The arguments are
     checked in the given order first: T above MAX_CI_TERMS, or T times the
     number of passes above MAX_CI_WORK, raises BudgetExceededError before
-    any list is built."""
+    any list is built.
+
+    The coefficient list becomes the numerator with no second copy and no
+    normalizing pass: every coefficient of a product of all-ones
+    polynomials is positive, so no term vanishes, and N(1) = prod_i d_i
+    is not zero."""
     degree_list = list(degrees)
     if n < 1:
         raise InvalidArityError(f"need at least one variable, got {n}")
@@ -297,21 +328,41 @@ def complete_intersection(n: int, degrees: Iterable[int]) -> HilbertFunction:
             pre = list(accumulate(coeffs))
             half = [*pre[:d], *map(sub, pre[d:], pre)]
     coeffs = half + half[:top - top // 2][::-1]
-    return HilbertFunction(dict(enumerate(coeffs)), n - len(degree_list))
+    return HilbertFunction._canonical(
+        dict(enumerate(coeffs)), n - len(degree_list), 0
+    )
 
 
 def scale(h: HilbertFunction, r: int) -> HilbertFunction:
-    """All values multiplied by a positive integer r."""
+    """All values multiplied by a positive integer r.  Built without
+    normalizing: r >= 1 leaves every term nonzero, the lowest positive, and
+    N(1) nonzero exactly when it was."""
     if r < 1:
         raise InvalidArityError(f"scale factor must be positive, got {r}")
-    return HilbertFunction({e: r * c for e, c in h.numerator.items()}, h.denom_power)
+    return HilbertFunction._canonical(
+        {e: r * c for e, c in h.numerator.items()}, h.denom_power, h.k0
+    )
 
 
 def shift(h: HilbertFunction, m: int) -> HilbertFunction:
-    """Regrade so the result at k equals h(k + m)."""
-    return HilbertFunction({e - m: c for e, c in h.numerator.items()}, h.denom_power)
+    """Regrade so the result at k equals h(k + m).  Built without
+    normalizing: each term moves to exactly one term at e - m, so the
+    coefficients and N(1) are h's own and k0 moves to k0 - m."""
+    return HilbertFunction._canonical(
+        {e - m: c for e, c in h.numerator.items()}, h.denom_power, h.k0 - m
+    )
 
 
 def extend(h: HilbertFunction) -> HilbertFunction:
-    """Adjoin one variable: the result at j is the prefix sum of h up to j."""
-    return HilbertFunction(h.numerator, h.denom_power + 1)
+    """Adjoin one variable: the result at j is the prefix sum of h up to j.
+
+    The result shares h's numerator, with one more power of (1 - t) and the
+    same k0.  It is canonical when N(1) != 0: for p > 0 that is h's own
+    canonical form, and for p = 0, N(1) is the sum of h's values, positive
+    for any nonnegative h.  Only a p = 0 numerator whose coefficients sum to
+    zero, possible when some value is negative, is normalized by the
+    constructor."""
+    p = h.denom_power
+    if p == 0 and not sum(h.numerator.values()):
+        return HilbertFunction(h.numerator, 1)
+    return HilbertFunction._canonical(h.numerator, p + 1, h.k0)

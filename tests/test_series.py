@@ -10,11 +10,12 @@ import copy
 import itertools
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hilbertdepth import (
     BudgetExceededError,
@@ -364,6 +365,90 @@ def test_canonical_form_idempotent():
     # equal functions hash alike, whichever constructor built them
     assert hash(HilbertFunction({0: 1, 1: -1}, 1)) == hash(from_table({0: 1}))
     assert hash(extend(from_table({0: 1}))) == hash(polynomial_ring(1))
+
+
+def ci_cases(max_n, max_degree):
+    """(n, degrees) with 0 <= r <= n forms of degree 1..max_degree."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(1, max_degree), max_size=n)
+        )
+    )
+
+
+def signed_function(start, lowest, rest, p):
+    """lowest t^start + rest over (1 - t)^p: values may turn negative."""
+    return HilbertFunction({start: lowest, **dict(enumerate(rest, start + 1))}, p)
+
+
+def small_function_leaves():
+    """Tables, rings, complete intersections (degree-1 forms and r = 0
+    included), free modules, and signed numerators with a positive lowest
+    coefficient."""
+    table = st.dictionaries(st.integers(-4, 6), st.integers(0, 9), min_size=1)
+    shifts = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+    return st.one_of(
+        table.filter(lambda t: any(t.values())).map(from_table),
+        st.integers(1, 5).map(polynomial_ring),
+        ci_cases(8, 6).map(lambda a: complete_intersection(*a)),
+        st.tuples(st.integers(1, 4), shifts).map(lambda a: free_module(*a)),
+        st.builds(
+            signed_function,
+            st.integers(-4, 4),
+            st.integers(1, 3),
+            st.lists(st.integers(-3, 3), max_size=4),
+            st.integers(0, 3),
+        ),
+    )
+
+
+small_functions = st.recursive(
+    small_function_leaves(),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda hs: hs[0] + hs[1]),
+        st.tuples(inner, st.integers(-5, 5)).map(lambda a: shift(*a)),
+    ),
+    max_leaves=4,
+)
+
+
+def assert_canonical(g):
+    """The constructor, given g's numerator as a plain dict, keeps it as it
+    is: no zero term, no (1 - t) factor while p > 0, lowest term positive."""
+    rebuilt = HilbertFunction(dict(g.numerator), g.denom_power)
+    assert dict(rebuilt.numerator) == dict(g.numerator)
+    assert (rebuilt.denom_power, rebuilt.k0) == (g.denom_power, g.k0)
+    assert all(g.numerator.values())
+    assert g.numerator[g.k0] > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_functions, st.integers(-6, 6), st.integers(1, 5), ci_cases(10, 7))
+# a p = 0 numerator summing to zero: extending it must divide out (1 - t)
+@example(HilbertFunction({0: 1, 1: -1}, 0), 0, 1, (1, []))
+def test_operations_that_skip_normalizing_give_canonical_form(h, m, r, case):
+    assert_canonical(h)
+    for g in (shift(h, m), scale(h, r), extend(h)):
+        assert_canonical(g)
+    if h.denom_power or sum(h.numerator.values()):
+        assert extend(h).numerator is h.numerator
+    assert_canonical(complete_intersection(*case))
+
+
+def test_complete_intersection_keeps_one_numerator_copy():
+    # the built coefficient list becomes the numerator: a second full copy
+    # of the mapping during the build would lift the peak past twice the
+    # kept size
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        h = complete_intersection(2, [2**14])
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(h.numerator) == 2**14
+    assert peak - base < 1.7 * (kept - base)
 
 
 def test_pointwise_equal_routes_share_canonical_form():
