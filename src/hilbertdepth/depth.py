@@ -268,7 +268,17 @@ def _top_row(h: HilbertFunction, d: int) -> list[int]:
 
         (k + 1) A_(k + 1) = (3k + 2p - a) A_k + 2(a - p - k + 1) A_(k - 1),
 
-    one exact division per entry: O(T_L L) for the T_L terms below L."""
+    one exact division per entry: O(T_L L) for the T_L terms below L.
+
+    At h = S, the ring in n variables, and d = n there is one term, with
+    p = n and a = 2n, and the step is
+
+        (k + 1) G_(k + 1) = 3k G_k + 2(n - k + 1) G_(k - 1),  G_0 = 1,  G_1 = 0:
+
+    Gauss's contiguous relation in the first parameter (DLMF 15.5(ii)) for
+    G_k = (-1)^k C(n, k) 2F1(-k, n; -n; -1).  Its entries k >= 2 are
+    positive, which is the paper's qdepth(h_S) = n; the Gauss batteries in
+    ``hypergeometric`` read G off this row."""
     k0, p = h.k0, h.denom_power
     size = d - k0 + 1
     row = [0] * size

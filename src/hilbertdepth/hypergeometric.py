@@ -26,15 +26,12 @@ The check_* batteries verify these statements over exhaustive desk-scale
 ranges and return their case count and violations instead of raising;
 ``verify.run_battery`` turns them into reports.  Both Gauss batteries read
 the whole row G_k = (-1)^k C(n, k) gauss_2f1(k, n), 0 <= k <= n, off
-Gauss's contiguous relation in the first parameter (DLMF 15.5(ii)),
-
-    (k + 1) G_(k+1) = 3k G_k + 2(n - k + 1) G_(k-1),  G_0 = 1,  G_1 = 0,
-
-in O(n) exact integer steps, and call ``gauss_2f1`` itself only at a fixed
-sample of entries and on failure.  G_k is beta(n, k) of the polynomial ring
-in n variables, so ``check_beta_identity`` holds the kernel's ring row to
-this one, and up to max_n = N its cost is the N kernel rows' O(N^3)
-subtractions.
+``depth._top_row`` of the polynomial ring in n variables, whose recurrence
+at h = S, d = n is Gauss's contiguous relation (see its docstring), in
+O(n) exact integer steps, and call ``gauss_2f1`` itself only at a fixed
+sample of entries and on failure.  G_k is beta(n, k) of that ring, so
+``check_beta_identity`` holds the kernel's ring row to this one, and up to
+max_n = N its cost is the N kernel rows' O(N^3) subtractions.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from operator import mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 # ``beta`` has no caller here: perfbench/spans.py traces this binding.
-from .depth import beta, beta_table
+from .depth import _top_row, beta, beta_table
 from .errors import InvalidArityError, OutOfRangeError
 from .report import Violation, equality_law, reporter
 from .series import polynomial_ring
@@ -150,28 +147,18 @@ def geometric_square_series(n: int, order: int) -> list[int]:
     return result
 
 
-def _ring_row(n: int) -> tuple[int, ...]:
-    """(G_0, ..., G_n), G_k = (-1)^k C(n, k) gauss_2f1(k, n), by the
-    contiguous relation in the module docstring; n >= 1.  Each G_k is an
-    integer, so every division is exact."""
-    row = [1, 0]
-    for k in range(1, n):
-        row.append((3 * k * row[k] + 2 * (n - k + 1) * row[k - 1]) // (k + 1))
-    return tuple(row)
-
-
 def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
     """Signs of the terminating Gauss values, big_e, and the c-table.
 
     For every n up to max_n: the k = 0 and k = 1 Gauss values are exactly 1
     and 0; for 2 <= k <= n, (-1)^k gauss_2f1(k, n) > 0 and big_e(n, k) > 0;
     and (-1)^j c(k, j) > 0 throughout rows k >= 2 of the table.  The Gauss
-    sign is read off ``_ring_row``, since (-1)^k gauss_2f1(k, n) is
-    G_k / C(n, k); big_e stays its own O(k) sum, the independent route that
-    ``check_derivative_link`` needs.  Each c-row's signs are tested by one
-    min and one max, and only a row that fails them is walked entry by
-    entry.  Each n has one ``report.reporter`` with the prefix ``n={n}``,
-    and every failed law reports its value.
+    sign is read off the ring row G of the module docstring, since
+    (-1)^k gauss_2f1(k, n) is G_k / C(n, k); big_e stays its own O(k) sum,
+    the independent route that ``check_derivative_link`` needs.  Each
+    c-row's signs are tested by one min and one max, and only a row that
+    fails them is walked entry by entry.  Each n has one ``report.reporter``
+    with the prefix ``n={n}``, and every failed law reports its value.
     """
     violations: list[Violation] = []
     cases = 0
@@ -184,7 +171,7 @@ def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
                 fail(f"k={k}", expected, value)
         if n < 2:
             continue
-        ring = _ring_row(n)
+        ring = _top_row(polynomial_ring(n), n)
         table = coeff_table(n, n, n)
         for k in range(2, n + 1):
             cases += 1
@@ -213,22 +200,31 @@ def check_beta_identity(max_n: int) -> tuple[int, list[Violation]]:
     the kernel's row n, and (-1)^k C(n, k) gauss_2f1(k, n) for all
     0 <= k <= n <= max_n: one case per entry.  Each n builds one
     ``beta_table`` row (the ring's k0 is 0, so entry k sits at index k),
-    compares it with ``_ring_row(n)`` in one step, and holds both to
-    ``gauss_2f1`` at k = n // 2 and k = n.  Only an n that fails either test
-    builds its per-entry triples for ``equality_law``, which names every
-    failing entry.  Under the fault hook the diagonal entries k = n fail.
+    compares it with the ring row G of the module docstring in one step,
+    and holds both to ``gauss_2f1`` at k = n // 2 and k = n.  Only an n that
+    fails either test builds its per-entry triples for ``equality_law``: the
+    kernel's entries as ``n={n} k={k}`` against the Gauss values and, when G
+    differs from the kernel's row, G's entries as ``n={n} k={k} top row``
+    against the same values, so a fault in either route is named.  Under the
+    fault hook only the kernel's diagonal entries k = n fail.
     """
     cases = 0
     violations: list[Violation] = []
     for n in range(1, max_n + 1):
-        row = beta_table(polynomial_ring(n), n).values
+        ring = polynomial_ring(n)
+        row = beta_table(ring, n).values
+        top = tuple(_top_row(ring, n))
         cases += len(row)
 
         def gauss(k: int) -> Fraction:
             return (-1) ** k * comb(n, k) * gauss_2f1(k, n)
 
-        if row != _ring_row(n) or any(row[k] != gauss(k) for k in (n // 2, n)):
-            triples = ((f"n={n} k={k}", gauss(k), e) for k, e in enumerate(row))
+        if row != top or any(row[k] != gauss(k) for k in (n // 2, n)):
+            expected = [gauss(k) for k in range(n + 1)]
+            triples = [(f"n={n} k={k}", expected[k], e) for k, e in enumerate(row)]
+            if top != row:
+                triples += ((f"n={n} k={k} top row", expected[k], e)
+                            for k, e in enumerate(top))
             violations += equality_law(triples)[1]
     return cases, violations
 

@@ -20,11 +20,8 @@ from hilbertdepth import (
     hypergeometric,
     polynomial_ring,
 )
-from hilbertdepth.hypergeometric import (
-    CoeffTable,
-    _ring_row as ring_row,
-    geometric_square_series,
-)
+from hilbertdepth.depth import _top_row
+from hilbertdepth.hypergeometric import CoeffTable, geometric_square_series
 from hilbertdepth.report import Violation
 from hilbertdepth.verify import run_battery
 
@@ -117,14 +114,16 @@ def test_gauss_horner_matches_term_sum_and_second_formula():
             assert value == gauss_oracle(k, n), (k, n)
 
 
-def test_ring_row_matches_gauss_values_and_the_kernel_row():
-    # the contiguous relation against gauss_2f1 entry by entry, and the
-    # ring's kernel row that beta-identity holds to it
+def test_ring_top_row_matches_gauss_values_and_the_kernel_row():
+    # the numerator route's ring row, Gauss's contiguous relation, against
+    # gauss_2f1 entry by entry, and the ring's kernel row that beta-identity
+    # holds to it
     for n in range(1, 61):
         gauss = [(-1) ** k * comb(n, k) * gauss_2f1(k, n) for k in range(n + 1)]
-        row = ring_row(n)
+        ring = polynomial_ring(n)
+        row = tuple(_top_row(ring, n))
         assert list(row) == gauss, n
-        assert row == beta_table(polynomial_ring(n), n).values, n
+        assert row == beta_table(ring, n).values, n
 
 
 def test_gauss_range_errors():
@@ -221,16 +220,16 @@ def test_sign_battery_reports_each_failed_law(monkeypatch):
     # one fault per sign law, each at its own (n, k): the k = 0 value at
     # n = 2, the k = 1 value at n = 3, the k = 2 Gauss sign at n = 3, big_e
     # at (3, 3) and c(2, 1) at n = 2; every violation shows the faulty value.
-    # The k >= 2 Gauss sign is read off the ring row, so its fault sets
-    # G_2 = -3 there and the battery reports -3 / C(3, 2).
+    # The k >= 2 Gauss sign is read off the numerator route's ring row, so
+    # its fault sets G_2 = -3 there and the battery reports -3 / C(3, 2).
     faults = {(0, 2): Fraction(2), (1, 3): Fraction(1, 2)}
 
     def faulty_gauss(k, n):
         return faults.get((k, n), gauss_2f1(k, n))
 
-    def faulty_ring_row(n):
-        row = ring_row(n)
-        return (*row[:2], -3, *row[3:]) if n == 3 else row
+    def faulty_top_row(h, d):
+        row = _top_row(h, d)
+        return [*row[:2], -3, *row[3:]] if d == 3 else row
 
     def faulty_big_e(n, k):
         return -big_e(n, k) if (n, k) == (3, 3) else big_e(n, k)
@@ -243,7 +242,7 @@ def test_sign_battery_reports_each_failed_law(monkeypatch):
         return CoeffTable(n, kmax, jmax, (row1, (c0, -c1, c2)))
 
     monkeypatch.setattr(hypergeometric, "gauss_2f1", faulty_gauss)
-    monkeypatch.setattr(hypergeometric, "_ring_row", faulty_ring_row)
+    monkeypatch.setattr(hypergeometric, "_top_row", faulty_top_row)
     monkeypatch.setattr(hypergeometric, "big_e", faulty_big_e)
     monkeypatch.setattr(hypergeometric, "coeff_table", faulty_table)
     report = run_battery("signs", max_n=3)

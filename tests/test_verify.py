@@ -798,6 +798,22 @@ def _row_fault(at, entry):
     return install
 
 
+def _top_row_fault(k):
+    """A fault on the ``_top_row`` that the Gauss batteries call: entry
+    ``k`` of every row that has one comes out one higher."""
+    def install(monkeypatch):
+        clean = hypergeometric._top_row
+
+        def mutant(h, d):
+            row = clean(h, d)
+            if k < len(row):
+                row[k] += 1
+            return row
+
+        monkeypatch.setattr(hypergeometric, "_top_row", mutant)
+    return install
+
+
 # row k0 + 5 is no longer the running sums of the clean row k0 + 6, and the
 # top row still inverts: only the prefix chain sees it
 _below_top_fault = _row_fault(5, 2)
@@ -855,6 +871,7 @@ _VACUITY_CASES = [
         id="inversion-top-row",
     ),
     pytest.param("ci-recursion", r" series", _shift_fault(-1), id="series"),
+    pytest.param("beta-identity", r" k=3 top row", _top_row_fault(3), id="top-row-k3"),
 ]
 
 
@@ -866,6 +883,21 @@ def test_no_battery_check_is_vacuous(monkeypatch, battery, law, fault):
     fault(monkeypatch)
     cases = [v.case for v in run_battery(battery, trials=12).violations]
     assert any(re.search(law + "$", case) for case in cases), cases[:5]
+
+
+def test_beta_identity_names_a_numerator_route_fault_far_out(monkeypatch):
+    # the numerator route's ring row off by one at k = 40: only rows
+    # n >= 40 have that entry, and each is reported against its Gauss value
+    # while the kernel's entries stay clean
+    monkeypatch.setattr(depth, "FLIP", False)
+    _top_row_fault(40)(monkeypatch)
+    violations = run_battery("beta-identity", max_n=45).violations
+    assert [v.case for v in violations] == [
+        f"n={n} k=40 top row" for n in range(40, 46)
+    ]
+    for n, v in zip(range(40, 46), violations):
+        gauss = comb(n, 40) * gauss_2f1(40, n)
+        assert (v.expected, v.actual) == (str(gauss), str(gauss + 1))
 
 
 @pytest.mark.parametrize(
