@@ -12,10 +12,18 @@ Grammar (ASCII, INT in ASCII digits only, whitespace-insensitive):
 Parsing checks syntax, arity and nesting depth (at most MAX_NESTING
 constructor levels); elaboration runs the constructors and wraps any
 precondition failure in ElaborationError named after the failing node.
+
+Right after "table(" the tokenizer reads the longest run of well-formed
+pairs in one regex scan and one int conversion; the run admits only the
+whitespace, digits and literal lengths the character loop accepts, so it
+hides no error and the loop reads what follows it as it would have: every
+tree and every error is the same as without the run.
 """
 
 from __future__ import annotations
 
+import re
+from collections import deque
 from typing import NamedTuple, Union
 
 from .errors import (
@@ -42,11 +50,13 @@ MAX_NESTING = 200
 
 
 def _from_pairs(*pairs: tuple[int, int]) -> HilbertFunction:
-    table: dict[int, int] = {}
-    for degree, value in pairs:
-        if degree in table:
-            raise ElaborationError(f"degree {degree} appears more than once")
-        table[degree] = value
+    table = dict(pairs)
+    if len(table) != len(pairs):
+        seen: set[int] = set()
+        for degree, _ in pairs:
+            if degree in seen:
+                raise ElaborationError(f"degree {degree} appears more than once")
+            seen.add(degree)
     return from_table(table)
 
 
@@ -79,10 +89,42 @@ class FunctionSpec(NamedTuple):
     args: tuple
 
 
-Token = tuple[str, Union[int, str], int]  # kind, value, position
+# kind, value, position; a "pairs" token's value is the run's (degree, value)
+# tuples
+Token = tuple[str, Union[int, str, tuple], int]
 
 # Only ASCII digits make an INT; any other digit is an unexpected character.
 _DIGITS = frozenset("0123456789")
+
+# A run of table pairs, read as one token right after "table(": the longest
+# well-formed prefix INT:INT(,INT:INT)* there, with whitespace between the
+# tokens.  \s is the class of str.isspace (and of str.split's separators),
+# and each INT is one the character loop would read whole: an optional "-"
+# and 1..MAX_LITERAL_DIGITS ASCII digits, a value not followed by a digit (a
+# degree is followed by ":").  So the run holds no error, and the character
+# loop reads what follows it as it would have.  The pattern reads one pair,
+# after the "(" or after a value and a comma, and a scanner (the one
+# re.Scanner uses) steps it from C to the end of the run: one match over the
+# whole run would keep a backtracking frame per pair (about 600 bytes each).
+# It is compiled at its first use and kept in re's cache, so start-up does
+# not pay for it.
+_DEGREE = rf"-?[0-9]{{1,{MAX_LITERAL_DIGITS}}}"
+_RUN_STEP = rf"(?:(?<=\()|(?<=[0-9])\s*,)\s*({_DEGREE}\s*:\s*{_DEGREE}(?![0-9]))"
+
+
+def _pair_run(text: str, i: int, tokens: list[Token]) -> int:
+    """Append the run of pairs at text[i:] as one "pairs" token, if there is
+    one; return where the character loop goes on."""
+    step = re.compile(_RUN_STEP).scanner(text, i).match
+    first = step()
+    if not first:
+        return i
+    start = first.start(1)
+    last = deque(iter(step, None), maxlen=1)
+    end = (last.pop() if last else first).end()
+    numbers = map(int, text[start:end].replace(":", " ").replace(",", " ").split())
+    tokens.append(("pairs", tuple(zip(numbers, numbers)), start))
+    return end
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -96,6 +138,8 @@ def _tokenize(text: str) -> list[Token]:
         if ch in "(),:;":
             tokens.append((ch, ch, i))
             i += 1
+            if ch == "(" and len(tokens) > 1 and tokens[-2][1] == "table":
+                i = _pair_run(text, i, tokens)
             continue
         if ch == "-" or ch in _DIGITS:
             start = i
@@ -159,7 +203,10 @@ class _Parser:
             if kind in (",", ";"):
                 self.take(kind)
             elif item[-1] != "*" or self.peek()[0] == _STARTS[kind]:
-                args.append(self.item(kind, depth))
+                if kind == "pair" and self.peek()[0] == "pairs":  # a run, read whole
+                    args.extend(self.take("pairs")[1])
+                else:
+                    args.append(self.item(kind, depth))
                 while item[-1] in "+*" and self.peek()[0] == ",":
                     self.take(",")
                     args.append(self.item(kind, depth))

@@ -239,9 +239,10 @@ def check_table(values: Mapping[int, int]) -> None:
     value raises NegativeValueError at its degree, and a table with no
     positive value raises EmptyFunctionError.  ``from_table`` and the alpha
     route (``squarefree.qdepth_from_alpha``) both hold their input to it."""
-    for k, v in values.items():
-        if v < 0:
-            raise NegativeValueError(f"table value at degree {k} is {v}")
+    if min(values.values(), default=0) < 0:
+        for k, v in values.items():
+            if v < 0:
+                raise NegativeValueError(f"table value at degree {k} is {v}")
     if not any(values.values()):
         raise EmptyFunctionError("table has no positive value")
 

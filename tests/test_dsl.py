@@ -1,6 +1,10 @@
 """Expression language: parsing, elaboration, and error reporting."""
 
+import re
+import sys
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hilbertdepth import (
     ElaborationError,
@@ -17,6 +21,7 @@ from hilbertdepth import (
 )
 from hilbertdepth import dsl
 from hilbertdepth.dsl import MAX_NESTING
+from hilbertdepth.errors import MAX_LITERAL_DIGITS
 
 
 def test_constructor_round_trips():
@@ -91,6 +96,17 @@ def test_elaboration_errors():
             parse_function(text)
 
 
+def test_table_errors_name_the_first_offender():
+    # in the order written, whichever is smallest: the second 1 comes before
+    # the second 0, and -1 at degree 3 before the smaller -2 at degree 0
+    with pytest.raises(ElaborationError, match="^table: degree 1 appears more"):
+        parse_function("table(0:1,1:1,1:2,0:3)")
+    with pytest.raises(
+        ElaborationError, match="^table: table value at degree 3 is -1$"
+    ):
+        parse_function("table(3:-1,0:-2,1:1)")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -106,6 +122,14 @@ def test_elaboration_errors():
             " or ci or shift or sum or scale or extend)",
         ),
         ("scale(poly(2) 3)", "unexpected 'int' at position 14 (expected ,)"),
+        # errors right after a run of pairs
+        ("table(0:1,1:2 3:4)", "unexpected 'int' at position 14 (expected ))"),
+        ("table(0:1,1:2,)", "unexpected ')' at position 14 (expected int)"),
+        pytest.param(
+            "table(0:1,1:" + "9" * (MAX_LITERAL_DIGITS + 1) + ",2:3)",
+            f"integer literal over {MAX_LITERAL_DIGITS} digits at position 12",
+            id="table(0:1,1:<4301 digits>,2:3)",
+        ),
         (
             "nope(3)",
             "unknown constructor 'nope' at position 0 (expected table or poly or free"
@@ -164,3 +188,125 @@ def test_nesting_limit():
     nested_sums = "sum(" * MAX_NESTING + "poly(1)" + ", poly(1))" * MAX_NESTING
     with pytest.raises(ParseError):
         parse_spec(nested_sums)
+
+
+def test_table_pairs_are_read_as_one_run():
+    tokens = dsl._tokenize("sum(table( 0:1 , 1 : -3,2:3 x), poly(1))")
+    assert tokens[4] == ("pairs", ((0, 1), (1, -3), (2, 3)), 11)
+    assert tokens[5] == ("name", "x", 28)
+    # only right after "table(": elsewhere every number is its own token
+    assert [kind for kind, _, _ in dsl._tokenize("ci(3; 2,2)")] == [
+        "name", "(", "int", ";", "int", ",", "int", ")", "end"
+    ]
+    assert parse_spec("table(0:1, 1:3 ,2 : 3)") == dsl.FunctionSpec(
+        "table", ((0, 1), (1, 3), (2, 3))
+    )
+
+
+def test_run_whitespace_is_str_isspace():
+    # the run skips exactly the characters the character loop skips, and
+    # str.split, which cuts the run into numbers, splits on exactly those,
+    # on every code point; a digit at this spot joins the degree instead
+    points = list(map(chr, range(sys.maxunicode + 1)))
+    spaces = {c for c in points if c.isspace()}
+    step = re.compile(dsl._RUN_STEP)
+    matched = {c for c in points if step.fullmatch(f"(0{c}:1", 1)}
+    assert matched == spaces | set("0123456789")
+    assert {c for c in points if len(f"0{c}1".split()) == 2} == spaces
+
+
+# Table texts around the edges of a run: well-formed pairs with Unicode
+# spaces (U+200B is not one), cut by one to three inserted pieces: signs, a
+# lone "-", literals at and past the digit cap, digits that are not ASCII,
+# broken separators and a second "table(".
+_SPACE = st.sampled_from(
+    ["", "", " ", "\t\n", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+)
+_INSERT = st.one_of(
+    _SPACE,
+    st.sampled_from(
+        [
+            "-",
+            "-0",
+            "007",
+            "+1",
+            "\u22121",
+            "\u0661",
+            "\u00b2",
+            "\u200b",
+            "9" * MAX_LITERAL_DIGITS,
+            "-" + "9" * MAX_LITERAL_DIGITS,
+            "9" * (MAX_LITERAL_DIGITS + 1),
+            ",",
+            ",,",
+            ":",
+            ";",
+            "(",
+            ")",
+            "x",
+            "table(",
+            "table(0:1)",
+        ]
+    ),
+)
+_NUMBER = st.integers(-(10**6), 10**6).map(str)
+# mostly "table"; the others must not start a run
+_NAME = st.sampled_from(
+    ["table", "table", "table", "table", "poly", "ci", "tables", "TABLE"]
+)
+_TAIL = st.sampled_from([")", ")", ")", ",)", "", "))", ") table(0:1)", ", table(0:1)"])
+_CONTEXT = st.sampled_from(
+    ["{}", "sum({}, poly(1))", "sum(poly(1), {})", "shift({}, 2)", "extend({})"]
+)
+
+
+@st.composite
+def _table_texts(draw):
+    body = ""
+    starts = [0]  # where a number starts: inserts land there half the time
+    for index in range(draw(st.integers(0, 8))):
+        body += draw(_SPACE) + "," + draw(_SPACE) if index else ""
+        starts.append(len(body))
+        body += draw(_NUMBER) + draw(_SPACE) + ":" + draw(_SPACE)
+        starts.append(len(body))
+        body += draw(_NUMBER)
+    cuts = st.one_of(st.integers(0, len(body)), st.sampled_from(starts))
+    for at in sorted(draw(st.lists(cuts, min_size=1, max_size=3)), reverse=True):
+        body = body[:at] + draw(_INSERT) + body[at:]
+    opening = draw(_NAME) + draw(_SPACE) + "(" + draw(_SPACE)
+    table = opening + body + draw(_SPACE) + draw(_TAIL)
+    return draw(_CONTEXT).format(table)
+
+
+def _outcome(text):
+    try:
+        return parse_spec(text)
+    except ParseError as exc:
+        return str(exc), exc.position, exc.expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_table_texts())
+@example(text="table(0:1,1:2 3:4)")
+@example(text="table( ,0:1)")
+@example(text="table(0:1,1:2,)")
+@example(text="table(0:1,1:2")
+@example(text="table(0:" + "9" * MAX_LITERAL_DIGITS + ")")
+@example(text="table(0:" + "9" * (MAX_LITERAL_DIGITS + 1) + ")")
+@example(text="table(-" + "9" * (MAX_LITERAL_DIGITS + 1) + ":1)")
+@example(text="table(0:1\x1c,1:2)")
+@example(text="table(0:1,\u3000+1:2)")
+@example(text="table(0:1,1:\u0661)")
+@example(text="table(0:1,1:2\u00b2)")
+@example(text="table(0:1) table(1:1)")
+@example(text="table(0:1,table(1:1))")
+@example(text="sum(table(0:1,-:2), poly(1))")
+@example(text="shift(table(0:1 , 1:2), 3)")
+@example(text="poly(0:1)")
+def test_pair_runs_parse_as_the_character_loop(text):
+    # with a pattern that never matches, every character goes through the
+    # character loop: the run must give the same tree or the same error
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, "_RUN_STEP", "(?!)")
+        by_characters = _outcome(text)
+    assert _outcome(text) == by_characters
