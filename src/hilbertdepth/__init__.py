@@ -34,7 +34,6 @@ from .errors import (
     TooManyVariablesError,
 )
 from .hypergeometric import CoeffTable, big_e, coeff_table, gauss_2f1
-from .report import VerificationReport, Violation
 from .series import (
     HilbertFunction,
     complete_intersection,
@@ -54,6 +53,7 @@ from .squarefree import (
     qdepth_from_alpha,
     random_quotient,
 )
+from .verify import VerificationReport, Violation
 
 __version__ = "0.1.0"
 

@@ -17,9 +17,11 @@ abbreviation; and ``_Parser.error`` prints no usage line, so a usage error
 is the subparser's own text either way.
 
 Exit codes: 0 success, 1 a mathematical property was violated, 2 bad input
-or configuration.  JSON output serializes every mathematical integer as a
-decimal string so consumers never truncate, and is byte-identical across
-runs with the same seed and flags.
+or configuration.  JSON output writes coefficients, beta values, depths,
+bounds, degrees and variable counts as decimal strings so consumers never
+truncate; its only numbers are ``function.denomPower``, ``seed``,
+``violationCount`` and ``casesRun``, and its only bool is ``match``.  It is
+byte-identical across runs with the same seed and flags.
 """
 
 from __future__ import annotations

@@ -278,7 +278,7 @@ def _top_row(h: HilbertFunction, d: int) -> list[int]:
     Gauss's contiguous relation in the first parameter (DLMF 15.5(ii)) for
     G_k = (-1)^k C(n, k) 2F1(-k, n; -n; -1).  Its entries k >= 2 are
     positive, which is the paper's qdepth(h_S) = n; the Gauss batteries in
-    ``hypergeometric`` read G off this row."""
+    ``verify`` read G off this row."""
     k0, p = h.k0, h.denom_power
     size = d - k0 + 1
     row = [0] * size

@@ -22,16 +22,9 @@ c(k, j) = c(k - 1, j) - j c(k - 1, j - 1).  The alternating signs of these
 integers, (-1)^j c(k, j) > 0 for k >= 2, certify the positivity of big_e
 through big_e(n, k) = (-1)^k c(k, k).
 
-The check_* batteries verify these statements over exhaustive desk-scale
-ranges and return their case count and violations instead of raising;
-``verify.run_battery`` turns them into reports.  Both Gauss batteries read
-the whole row G_k = (-1)^k C(n, k) gauss_2f1(k, n), 0 <= k <= n, off
-``depth._top_row`` of the polynomial ring in n variables, whose recurrence
-at h = S, d = n is Gauss's contiguous relation (see its docstring), in
-O(n) exact integer steps, and call ``gauss_2f1`` itself only at a fixed
-sample of entries and on failure.  G_k is beta(n, k) of that ring, so
-``check_beta_identity`` holds the kernel's ring row to this one, and up to
-max_n = N its cost is the N kernel rows' O(N^3) subtractions.
+The batteries that check these statements (``signs``, ``beta-identity``
+and ``e-link``) live in ``verify`` with every other battery; they call the
+sums here through this module's bindings.
 """
 
 from __future__ import annotations
@@ -41,10 +34,10 @@ from math import comb, factorial, perm
 from operator import mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
-# ``beta`` has no caller here: perfbench/spans.py traces this binding.
-from .depth import _top_row, beta, beta_table
+# ``beta`` and ``polynomial_ring`` have no caller here: perfbench/spans.py
+# traces these two bindings until ROADMAP item 9 unpins them.
+from .depth import beta
 from .errors import InvalidArityError, OutOfRangeError
-from .report import Violation, equality_law, reporter
 from .series import polynomial_ring
 
 if TYPE_CHECKING:
@@ -146,104 +139,3 @@ def geometric_square_series(n: int, order: int) -> list[int]:
             result[i] += result[i - 2]
     return result
 
-
-def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
-    """Signs of the terminating Gauss values, big_e, and the c-table.
-
-    For every n up to max_n: the k = 0 and k = 1 Gauss values are exactly 1
-    and 0; for 2 <= k <= n, (-1)^k gauss_2f1(k, n) > 0 and big_e(n, k) > 0;
-    and (-1)^j c(k, j) > 0 throughout rows k >= 2 of the table.  The Gauss
-    sign is read off the ring row G of the module docstring, since
-    (-1)^k gauss_2f1(k, n) is G_k / C(n, k); big_e stays its own O(k) sum,
-    the independent route that ``check_derivative_link`` needs.  Each
-    c-row's signs are tested by one min and one max, and only a row that
-    fails them is walked entry by entry.  Each n has one ``report.reporter``
-    with the prefix ``n={n}``, and every failed law reports its value.
-    """
-    violations: list[Violation] = []
-    cases = 0
-    for n in range(1, max_n + 1):
-        cases += 1
-        fail = reporter(violations, lambda: f"n={n}")
-        for k, expected in ((0, 1), (1, 0)):
-            value = gauss_2f1(k, n)
-            if value != expected:
-                fail(f"k={k}", expected, value)
-        if n < 2:
-            continue
-        ring = _top_row(polynomial_ring(n), n)
-        table = coeff_table(n, n, n)
-        for k in range(2, n + 1):
-            cases += 1
-            if ring[k] <= 0:
-                from fractions import Fraction
-
-                fail(f"k={k} gauss sign", "> 0", Fraction(ring[k], comb(n, k)))
-            e = big_e(n, k)
-            if e <= 0:
-                fail(f"k={k} big_e", "> 0", e)
-            row = table.rows[k - 1]
-            if min(row[::2]) > 0 and max(row[1::2]) < 0:
-                continue
-            sign = 1
-            for j, c in enumerate(row):
-                signed, sign = sign * c, -sign
-                if signed <= 0:
-                    fail(f"k={k} j={j} c sign", "> 0", signed)
-    return cases, violations
-
-
-def check_beta_identity(max_n: int) -> tuple[int, list[Violation]]:
-    """The kernel's ring row against the closed Gauss form.
-
-    Exact rational equality of beta(n, k) of polynomial_ring(n), entry k of
-    the kernel's row n, and (-1)^k C(n, k) gauss_2f1(k, n) for all
-    0 <= k <= n <= max_n: one case per entry.  Each n builds one
-    ``beta_table`` row (the ring's k0 is 0, so entry k sits at index k),
-    compares it with the ring row G of the module docstring in one step,
-    and holds both to ``gauss_2f1`` at k = n // 2 and k = n.  Only an n that
-    fails either test builds its per-entry triples for ``equality_law``: the
-    kernel's entries as ``n={n} k={k}`` against the Gauss values and, when G
-    differs from the kernel's row, G's entries as ``n={n} k={k} top row``
-    against the same values, so a fault in either route is named.  Under the
-    fault hook only the kernel's diagonal entries k = n fail.
-    """
-    cases = 0
-    violations: list[Violation] = []
-    for n in range(1, max_n + 1):
-        ring = polynomial_ring(n)
-        row = beta_table(ring, n).values
-        top = tuple(_top_row(ring, n))
-        cases += len(row)
-
-        def gauss(k: int) -> Fraction:
-            return (-1) ** k * comb(n, k) * gauss_2f1(k, n)
-
-        if row != top or any(row[k] != gauss(k) for k in (n // 2, n)):
-            expected = [gauss(k) for k in range(n + 1)]
-            triples = [(f"n={n} k={k}", expected[k], e) for k, e in enumerate(row)]
-            if top != row:
-                triples += ((f"n={n} k={k} top row", expected[k], e)
-                            for k, e in enumerate(top))
-            violations += equality_law(triples)[1]
-    return cases, violations
-
-
-def check_derivative_link(max_n: int) -> tuple[int, list[Violation]]:
-    """big_e(n, k) against the table diagonal, and row 1 against the series.
-
-    Checks big_e(n, k) == (-1)^k c(k, k) for 2 <= k <= n <= max_n, and that
-    row 1 of each table matches j! times the prefix-pass series of
-    (1 - x^2)^(-n), by ``equality_law``.
-    """
-
-    def cases():
-        for n in range(2, max_n + 1):
-            table = coeff_table(n, n, n)
-            series = geometric_square_series(n, n)
-            for j in range(n + 1):
-                yield f"n={n} row1 j={j}", factorial(j) * series[j], table.value(1, j)
-            for k in range(2, n + 1):
-                yield f"n={n} k={k}", (-1) ** k * table.value(k, k), big_e(n, k)
-
-    return equality_law(cases())

@@ -8,17 +8,24 @@ default ranges, and ``run_battery`` builds the report from it, with the
 table key as the report's name and the time of the call as its elapsed
 time.
 
-Each kind of law is checked in one place, and every violation is built
-in ``report``.  ``report.equality_law`` checks every law between two exact
-sides: ``_depth_law`` feeds it ``qdepth`` on the (descriptor, h, expected
-depth) cases that ``polyring``, ``ci`` and ``free`` generate, and
-``beta-identity`` and ``e-link`` feed it their kernel, Gauss and table
-sides.  Every other battery reports each failed law through a
-``report.reporter`` whose prefix replays the case: the case number and h
-as JSON for ``extension`` and ``structural``, n and the degrees for
-``ci-recursion`` and ``ci-truncation``, n and the seed for ``quotients``.
-The prefix is built only when a law fails.  A law that two batteries check
-has one helper, which both call with their reporter: ``_extension_law``
+A ``Violation`` names one failing case by a descriptor that replays it, and
+a ``VerificationReport`` collects one battery's case count and violations.
+Both are immutable ``NamedTuple`` records: ``run_battery`` builds each
+report once, and nothing updates it afterwards.
+
+Each kind of law is checked in one place, and every violation is built by
+one of two builders.  ``equality_law`` checks the (case, expected, actual)
+triples of every law between two exact sides: ``_depth_law`` feeds it
+``qdepth`` on the (descriptor, h, expected depth) cases that ``polyring``,
+``ci`` and ``free`` generate, and ``beta-identity`` and ``e-link`` feed it
+their kernel, Gauss and table sides.  Every other battery reports each
+failed law through a ``reporter``, whose ``fail(law, expected, actual)``
+appends a violation whose descriptor is a case prefix and the law.  The
+prefix replays the case: the case number and h as JSON for ``extension``
+and ``structural``, n and the degrees for ``ci-recursion`` and
+``ci-truncation``, n and the seed for ``quotients``, n for ``signs``.  It
+is built only when a law fails.  A law that two batteries check has one
+helper, which both call with their reporter: ``_extension_law``
 (qdepth(extend(h)) >= qdepth(h)) and ``_parity_law`` serve ``extension``
 and ``structural``.
 
@@ -30,25 +37,32 @@ row only when that test fails: ``structural``'s inversion law is one
 ``reconstruct`` of the top row and the prefix-sum lemma down the rows
 below it (``_inverts``), and only a failing case runs ``reconstruct`` on
 each row to name the rows that fail.
+
+The Gauss batteries ``signs``, ``beta-identity`` and ``e-link`` check the
+statements of ``hypergeometric`` over exhaustive desk-scale ranges, and
+call its sums and tables through that module's bindings.  ``signs`` and
+``beta-identity`` read the whole row G_k = (-1)^k C(n, k) gauss_2f1(k, n),
+0 <= k <= n, off ``depth._top_row`` of the polynomial ring in n variables,
+whose recurrence at h = S, d = n is Gauss's contiguous relation (see its
+docstring), in O(n) exact integer steps, and call ``gauss_2f1`` itself
+only at a fixed sample of entries and on failure.  G_k is beta(n, k) of
+that ring, so ``beta-identity`` holds the kernel's ring row to this one,
+and up to max_n = N its cost is the N kernel rows' O(N^3) subtractions.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import time
+from math import comb, factorial
 from operator import eq
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
+from . import hypergeometric
 # ``beta`` has no caller here: perfbench/spans.py traces this binding.
-from .depth import BetaTable, beta, beta_rows, beta_table, qdepth, reconstruct
+from .depth import BetaTable, _top_row, beta, beta_rows, beta_table, qdepth, reconstruct
 from .errors import GenerationFailedError, OutOfRangeError
-from .hypergeometric import (
-    check_beta_identity,
-    check_derivative_link,
-    check_sign_positivity,
-)
-from .report import VerificationReport, Violation, equality_law, reporter
 from .series import (
     HilbertFunction,
     complete_intersection,
@@ -66,10 +80,83 @@ from .squarefree import (
     random_quotient,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 DEFAULT_SEED = 271828
 
 
+class Violation(NamedTuple):
+    case: str
+    expected: str
+    actual: str
+
+    def __str__(self) -> str:
+        return f"{self.case}: expected {self.expected}, got {self.actual}"
+
+
+class VerificationReport(NamedTuple):
+    battery: str
+    cases_run: int
+    violations: Sequence[Violation] = ()
+    elapsed: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def summary_line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return (
+            f"{self.battery:<16} {self.cases_run:>7} cases "
+            f"{len(self.violations):>5} violations  {self.elapsed:7.2f}s  {status}"
+        )
+
+    # elapsed is omitted on purpose: JSON output must be byte-identical
+    # across runs with the same seed and flags.
+    def to_json_dict(self) -> dict:
+        return {
+            "battery": self.battery,
+            "casesRun": self.cases_run,
+            "violations": [
+                {"case": v.case, "expected": v.expected, "actual": v.actual}
+                for v in self.violations
+            ],
+        }
+
+
+def equality_law(
+    cases: Iterable[tuple[str, object, object]],
+) -> tuple[int, list[Violation]]:
+    """The count of (case, expected, actual) triples in the stream, and one
+    violation, with both sides as ``str``, per triple whose sides differ."""
+    count = 0
+    violations = []
+    for count, (case, expected, actual) in enumerate(cases, 1):
+        if expected != actual:
+            violations.append(Violation(case, str(expected), str(actual)))
+    return count, violations
+
+
+def reporter(violations: list[Violation], prefix: Callable[[], str]):
+    """``fail(law, expected, actual)``, which appends the violation
+    ``{prefix()} {law}`` with both sides as ``str``; ``prefix`` is called
+    only when a law fails, so a clean case builds no descriptor."""
+
+    def fail(law: str, expected: object, actual: object) -> None:
+        violations.append(Violation(f"{prefix()} {law}", str(expected), str(actual)))
+
+    return fail
+
+
 def _describe(h: HilbertFunction) -> str:
+    """h as compact JSON, for the descriptor of a failed case.
+
+    ``json`` is imported here, where a law has failed, and nowhere else in
+    this module: ``import hilbertdepth`` loads this module, and no clean
+    run builds a descriptor."""
+    import json
+
     return json.dumps(h.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
@@ -393,6 +480,109 @@ def verify_quotients(
             ideals = f"upper=({format_ideal(q.upper)}) lower=({format_ideal(q.lower)})"
             fail(ideals, "matching depths", "mismatch")
     return produced, violations
+
+
+def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
+    """Signs of the terminating Gauss values, big_e, and the c-table.
+
+    For every n up to max_n: the k = 0 and k = 1 Gauss values are exactly 1
+    and 0; for 2 <= k <= n, (-1)^k gauss_2f1(k, n) > 0 and big_e(n, k) > 0;
+    and (-1)^j c(k, j) > 0 throughout rows k >= 2 of the table.  The Gauss
+    sign is read off the ring row G of the module docstring, since
+    (-1)^k gauss_2f1(k, n) is G_k / C(n, k); big_e stays its own O(k) sum,
+    the independent route that ``check_derivative_link`` needs.  Each
+    c-row's signs are tested by one min and one max, and only a row that
+    fails them is walked entry by entry.  Each n has one ``reporter`` with
+    the prefix ``n={n}``, and every failed law reports its value.
+    """
+    violations: list[Violation] = []
+    cases = 0
+    for n in range(1, max_n + 1):
+        cases += 1
+        fail = reporter(violations, lambda: f"n={n}")
+        for k, expected in ((0, 1), (1, 0)):
+            value = hypergeometric.gauss_2f1(k, n)
+            if value != expected:
+                fail(f"k={k}", expected, value)
+        if n < 2:
+            continue
+        ring = _top_row(polynomial_ring(n), n)
+        table = hypergeometric.coeff_table(n, n, n)
+        for k in range(2, n + 1):
+            cases += 1
+            if ring[k] <= 0:
+                from fractions import Fraction
+
+                fail(f"k={k} gauss sign", "> 0", Fraction(ring[k], comb(n, k)))
+            e = hypergeometric.big_e(n, k)
+            if e <= 0:
+                fail(f"k={k} big_e", "> 0", e)
+            row = table.rows[k - 1]
+            if min(row[::2]) > 0 and max(row[1::2]) < 0:
+                continue
+            sign = 1
+            for j, c in enumerate(row):
+                signed, sign = sign * c, -sign
+                if signed <= 0:
+                    fail(f"k={k} j={j} c sign", "> 0", signed)
+    return cases, violations
+
+
+def check_beta_identity(max_n: int) -> tuple[int, list[Violation]]:
+    """The kernel's ring row against the closed Gauss form.
+
+    Exact rational equality of beta(n, k) of polynomial_ring(n), entry k of
+    the kernel's row n, and (-1)^k C(n, k) gauss_2f1(k, n) for all
+    0 <= k <= n <= max_n: one case per entry.  Each n builds one
+    ``beta_table`` row (the ring's k0 is 0, so entry k sits at index k),
+    compares it with the ring row G of the module docstring in one step,
+    and holds both to ``gauss_2f1`` at k = n // 2 and k = n.  Only an n that
+    fails either test builds its per-entry triples for ``equality_law``: the
+    kernel's entries as ``n={n} k={k}`` against the Gauss values and, when G
+    differs from the kernel's row, G's entries as ``n={n} k={k} top row``
+    against the same values, so a fault in either route is named.  Under the
+    fault hook only the kernel's diagonal entries k = n fail.
+    """
+    cases = 0
+    violations: list[Violation] = []
+    for n in range(1, max_n + 1):
+        ring = polynomial_ring(n)
+        row = beta_table(ring, n).values
+        top = tuple(_top_row(ring, n))
+        cases += len(row)
+
+        def gauss(k: int) -> Fraction:
+            return (-1) ** k * comb(n, k) * hypergeometric.gauss_2f1(k, n)
+
+        if row != top or any(row[k] != gauss(k) for k in (n // 2, n)):
+            expected = [gauss(k) for k in range(n + 1)]
+            triples = [(f"n={n} k={k}", expected[k], e) for k, e in enumerate(row)]
+            if top != row:
+                triples += ((f"n={n} k={k} top row", expected[k], e)
+                            for k, e in enumerate(top))
+            violations += equality_law(triples)[1]
+    return cases, violations
+
+
+def check_derivative_link(max_n: int) -> tuple[int, list[Violation]]:
+    """big_e(n, k) against the table diagonal, and row 1 against the series.
+
+    Checks big_e(n, k) == (-1)^k c(k, k) for 2 <= k <= n <= max_n, and that
+    row 1 of each table matches j! times the prefix-pass series of
+    (1 - x^2)^(-n), by ``equality_law``.
+    """
+
+    def cases():
+        for n in range(2, max_n + 1):
+            table = hypergeometric.coeff_table(n, n, n)
+            series = hypergeometric.geometric_square_series(n, n)
+            for j in range(n + 1):
+                yield f"n={n} row1 j={j}", factorial(j) * series[j], table.value(1, j)
+            for k in range(2, n + 1):
+                e = hypergeometric.big_e(n, k)
+                yield f"n={n} k={k}", (-1) ** k * table.value(k, k), e
+
+    return equality_law(cases())
 
 
 # Each battery's name, its function, and the default ranges of its

@@ -406,6 +406,48 @@ def test_json_outputs_are_decimal_strings():
     assert all(isinstance(v, str) for v in data["function"]["numerator"].values())
 
 
+# Every JSON value that is neither a string nor null, an array or an
+# object, by its path of object keys: everything else mathematical is a
+# decimal string.
+NON_STRING_VALUES = {
+    ("function", "denomPower"): int,
+    ("seed",): int,
+    ("batteries", "casesRun"): int,
+    ("violationCount",): int,
+    ("match",): bool,
+}
+
+
+def _non_strings(node, path=()):
+    """(path of object keys, type) of every number and bool in ``node``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _non_strings(value, (*path, key))
+    elif isinstance(node, list):
+        for value in node:
+            yield from _non_strings(value, path)
+    elif isinstance(node, (bool, int, float)):
+        yield path, type(node)
+
+
+@pytest.mark.parametrize("argv, flip", [
+    (("qdepth", "poly(3)"), False),
+    (("qdepth", "table(0:1,1:3,2:1)"), False),
+    (("beta", "shift(ci(3; 2,2), -1)", "--d", "4"), False),
+    (("sqf", "3", "x1*x2, x3", "x1*x2*x3"), False),
+    (("hyp", "4"), False),
+    (("verify", "--all", "--max-n", "4", "--trials", "3"), False),
+    (("verify", "polyring", "structural", "--max-n", "4", "--trials", "3"), True),
+])
+def test_json_numbers_and_bools_sit_only_under_their_keys(argv, flip):
+    proc = run_cli(*argv, "--json", flip=flip)
+    assert proc.returncode == flip, proc.stderr
+    found = set(_non_strings(json.loads(proc.stdout)))
+    assert found <= set(NON_STRING_VALUES.items())
+    expected = {"qdepth": 1, "beta": 1, "sqf": 1, "hyp": 0, "verify": 3}
+    assert len(found) == expected[argv[0]]
+
+
 def test_json_round_trip_recomputes():
     proc = run_cli("qdepth", "shift(ci(3; 2,2), -1)", "--json")
     data = json.loads(proc.stdout)
@@ -456,15 +498,19 @@ def test_verify_has_no_parallel_option():
     assert "--parallel" in proc.stderr
 
 
-def loaded_by_cli_import(*modules):
-    """Those of the modules that a fresh `import hilbertdepth.cli` loads."""
+def loaded_by_import(target, *modules):
+    """Those of the modules that a fresh `import {target}` loads."""
     proc = run_python(
         "-c",
-        "import sys, hilbertdepth.cli; "
+        f"import sys, {target}; "
         f"print(sorted(m for m in {modules!r} if m in sys.modules))",
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def loaded_by_cli_import(*modules):
+    return loaded_by_import("hilbertdepth.cli", *modules)
 
 
 def test_cli_import_loads_no_process_pool():
@@ -476,6 +522,13 @@ def test_cli_import_loads_no_dataclasses_or_fractions():
     # or inspect, and only the commands that build a Fraction import
     # fractions (and decimal with it), when they build one.
     assert loaded_by_cli_import("dataclasses", "inspect", "fractions", "decimal") == "[]"
+
+
+def test_package_import_loads_no_json_or_fractions():
+    # The package loads every battery with its records; ``verify`` imports
+    # json only to describe a failed case, and the library needs neither
+    # module until it prints JSON or builds a Fraction.
+    assert loaded_by_import("hilbertdepth", "json", "fractions", "decimal") == "[]"
 
 
 def test_flip_hook_fails_verify():

@@ -19,11 +19,11 @@ from hilbertdepth import (
     gauss_2f1,
     hypergeometric,
     polynomial_ring,
+    verify,
 )
 from hilbertdepth.depth import _top_row
 from hilbertdepth.hypergeometric import CoeffTable, geometric_square_series
-from hilbertdepth.report import Violation
-from hilbertdepth.verify import run_battery
+from hilbertdepth.verify import Violation, run_battery
 
 
 def rising(a, j):
@@ -242,7 +242,7 @@ def test_sign_battery_reports_each_failed_law(monkeypatch):
         return CoeffTable(n, kmax, jmax, (row1, (c0, -c1, c2)))
 
     monkeypatch.setattr(hypergeometric, "gauss_2f1", faulty_gauss)
-    monkeypatch.setattr(hypergeometric, "_top_row", faulty_top_row)
+    monkeypatch.setattr(verify, "_top_row", faulty_top_row)
     monkeypatch.setattr(hypergeometric, "big_e", faulty_big_e)
     monkeypatch.setattr(hypergeometric, "coeff_table", faulty_table)
     report = run_battery("signs", max_n=3)

@@ -25,14 +25,17 @@ from hilbertdepth import (
 from hilbertdepth.depth import BetaTable, reconstruct
 from hilbertdepth.errors import OutOfRangeError
 from hilbertdepth.hypergeometric import gauss_2f1
-from hilbertdepth.report import VerificationReport, Violation, equality_law, reporter
 from hilbertdepth.series import scale
 from hilbertdepth.verify import (
     BATTERIES,
+    VerificationReport,
+    Violation,
     _describe,
     _degree_multisets,
     _inverts,
+    equality_law,
     random_hilbert_function,
+    reporter,
     run_battery,
 )
 
@@ -554,7 +557,7 @@ def test_beta_identity_reports_sampled_gauss_and_interior_kernel_faults(
     assert _same_report(report, beta_identity_reference(12, False, faulty_gauss))
     monkeypatch.undo()
 
-    clean = hypergeometric.beta_table
+    clean = verify.beta_table
 
     def bumped(h, d):
         table = clean(h, d)
@@ -564,7 +567,7 @@ def test_beta_identity_reports_sampled_gauss_and_interior_kernel_faults(
         return table._replace(values=(*values[:2], values[2] + 1, *values[3:]))
 
     monkeypatch.setattr(depth, "FLIP", False)
-    monkeypatch.setattr(hypergeometric, "beta_table", bumped)
+    monkeypatch.setattr(verify, "beta_table", bumped)
     report = run_battery("beta-identity", max_n=12)
     assert [v.case for v in report.violations] == [f"n={n} k=2" for n in range(3, 13)]
     assert _same_report(report, beta_identity_reference(12, False, bump=1))
@@ -585,14 +588,14 @@ def test_beta_identity_calls_gauss_at_two_entries_per_n(monkeypatch):
 
 def test_beta_identity_builds_one_row_per_n(monkeypatch):
     rows = []
-    clean = hypergeometric.beta_table
+    clean = verify.beta_table
 
     def counted(h, d):
         rows.append(d)
         return clean(h, d)
 
     monkeypatch.setattr(depth, "FLIP", False)
-    monkeypatch.setattr(hypergeometric, "beta_table", counted)
+    monkeypatch.setattr(verify, "beta_table", counted)
     assert run_battery("beta-identity", max_n=25).cases_run == 350
     assert rows == list(range(1, 26))
 
@@ -750,8 +753,7 @@ def test_clean_batteries_build_no_descriptor(monkeypatch):
 
     monkeypatch.setattr(depth, "FLIP", False)
     monkeypatch.setattr(verify, "_describe", counted)
-    for module in (verify, hypergeometric):
-        monkeypatch.setattr(module, "reporter", counted_reporter)
+    monkeypatch.setattr(verify, "reporter", counted_reporter)
     for name in BATTERIES:
         assert run_battery(name).passed
     assert calls == [] and prefixes == []
@@ -802,7 +804,7 @@ def _top_row_fault(k):
     """A fault on the ``_top_row`` that the Gauss batteries call: entry
     ``k`` of every row that has one comes out one higher."""
     def install(monkeypatch):
-        clean = hypergeometric._top_row
+        clean = verify._top_row
 
         def mutant(h, d):
             row = clean(h, d)
@@ -810,7 +812,7 @@ def _top_row_fault(k):
                 row[k] += 1
             return row
 
-        monkeypatch.setattr(hypergeometric, "_top_row", mutant)
+        monkeypatch.setattr(verify, "_top_row", mutant)
     return install
 
 
