@@ -145,33 +145,27 @@ def cmd_hyp(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise HilbertDepthError(f"need n >= 1, got {n}")
-    row = [gauss_2f1(k, n) for k in range(n + 1)]
-    table = coeff_table(n, n, n)
+    gauss = [gauss_2f1(k, n) for k in range(n + 1)]
+    sums = {k: big_e(n, k) for k in range(2, n + 1)}
+    rows = [row[: k + 1] for k, row in enumerate(coeff_table(n, n, n).rows, 1)]
     if args.json:
         _emit_json(
             args,
             {
                 "n": str(n),
-                "gauss": [str(v) for v in row],
-                "bigE": {str(k): str(big_e(n, k)) for k in range(2, n + 1)},
-                "coeffRows": [
-                    [str(table.value(k, j)) for j in range(k + 1)]
-                    for k in range(1, n + 1)
-                ],
+                "gauss": [str(v) for v in gauss],
+                "bigE": {str(k): str(e) for k, e in sums.items()},
+                "coeffRows": [[str(v) for v in row] for row in rows],
             }
         )
         return 0
-    print(f"gauss values (k=0..{n}): [{', '.join(str(v) for v in row)}]")
-    if n >= 2:
-        parts = ", ".join(f"E({n},{k})={big_e(n, k)}" for k in range(2, n + 1))
+    print(f"gauss values (k=0..{n}): [{', '.join(str(v) for v in gauss)}]")
+    if sums:
+        parts = ", ".join(f"E({n},{k})={e}" for k, e in sums.items())
         print(f"integer sums: {parts}")
     print("derivative table (rows k, entries j=0..k, sign annotated):")
-    for k in range(1, n + 1):
-        entries = []
-        for j in range(k + 1):
-            v = table.value(k, j)
-            mark = "0" if v == 0 else ("+" if v > 0 else "-")
-            entries.append(f"{v}({mark})")
+    for k, row in enumerate(rows, 1):
+        entries = (f"{v}({'0' if v == 0 else '+' if v > 0 else '-'})" for v in row)
         print(f"  k={k}: " + "  ".join(entries))
     return 0
 

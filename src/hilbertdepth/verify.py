@@ -30,8 +30,8 @@ helper, which both call with their reporter: ``_extension_law``
 and ``structural``.
 
 No battery calls ``depth.beta``, which builds a whole row for one entry.
-Each reads every kernel entry it checks off rows it builds anyway: one
-``beta_table`` row per function, or one ``beta_rows`` pass over a window.
+A battery reads a single row through ``beta_table`` and walks
+``beta_rows`` over a window only where it checks every row of it.
 A law that holds row by row is tested once per case and explained row by
 row only when that test fails: ``structural``'s inversion law is one
 ``reconstruct`` of the top row and the prefix-sum lemma down the rows
@@ -118,10 +118,7 @@ class VerificationReport(NamedTuple):
         return {
             "battery": self.battery,
             "casesRun": self.cases_run,
-            "violations": [
-                {"case": v.case, "expected": v.expected, "actual": v.actual}
-                for v in self.violations
-            ],
+            "violations": [v._asdict() for v in self.violations],
         }
 
 
@@ -378,19 +375,18 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
     inversion, and the parity identity, on seeded random functions.
 
     Each case reads h over its inversion window once and walks one kernel
-    pass over it, rows d = k0..k0 + 12, kept as a list.  The refutation's
-    entry is read off that list when its row lies in the range, and off one
-    ``beta_table`` row beyond it.  Every row must give back those values.
-    ``_inverts`` tests that once per case, by one ``reconstruct`` of the top
-    row, Pascal sums that never call the kernel, and the running sums down
-    the rows below it; only a case that fails it runs ``reconstruct`` on
-    every row, to name the rows that fail.  When the depth d0 lies in that
-    range, the kernel's row d0 must equal the certificate, which ``qdepth``
-    may have built from the numerator by ``_top_row`` instead of the
-    kernel.  The parity check reuses the first 11 of those 13 values, and
-    extend(h) is built once, by ``_extension_law``, for both the extension
-    check and the parity check.  Every failed law goes to the case's
-    reporter."""
+    pass over it, rows d = k0..k0 + 12, kept as a list, since every row must
+    give back those values.  ``_inverts`` tests that once per case, by one
+    ``reconstruct`` of the top row, Pascal sums that never call the kernel,
+    and the running sums down the rows below it; only a case that fails it
+    runs ``reconstruct`` on every row, to name the rows that fail.  When the
+    depth d0 lies in that range, the list's row d0 must equal the
+    certificate, which ``qdepth`` may have built from the numerator by
+    ``_top_row`` instead of the kernel.  The refutation's entry is read off
+    one ``beta_table`` row, wherever that row lies.  The parity check reuses
+    the first 11 of those 13 values, and extend(h) is built once, by
+    ``_extension_law``, for both the extension check and the parity check.
+    Every failed law goes to the case's reporter."""
     violations = []
     rng = random.Random(seed)
     for case in range(trials):
@@ -416,11 +412,7 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
         rows = [(d, tuple(row)) for d, row in beta_rows(evals, k0)]
         if result.refutation is not None:
             rd, rk, rb = result.refutation
-            if k0 <= rd <= k0 + 12:
-                refuting = BetaTable(rd, k0, rows[rd - k0][1])
-            else:
-                refuting = beta_table(h, rd)
-            if rb >= 0 or refuting.value(rk) != rb:
+            if rb >= 0 or beta_table(h, rd).value(rk) != rb:
                 fail("refutation", "negative beta", rb)
         if h.kf is not None and d0 > h.kf:
             fail("support cap", f"<= {h.kf}", d0)
@@ -435,16 +427,14 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
         if d_sum < min(d0, d_other):
             fail(f"sum with {_describe(other)}", f">= {min(d0, d_other)}", d_sum)
         extended = _extension_law(h, d0, fail)
-        inverts = _inverts(rows, evals, k0)
-        for d, values in rows:
-            if d == d0 and values != result.certificate.values:
-                fail(f"certificate row d={d}", values, result.certificate.values)
-            if inverts:
-                continue
-            recovered = reconstruct(BetaTable(d, k0, values))
-            if recovered != evals[: d - k0 + 1]:
-                i = next(i for i, v in enumerate(recovered) if v != evals[i])
-                fail(f"inversion d={d} k={k0 + i}", evals[i], recovered[i])
+        if k0 <= d0 <= k0 + 12 and rows[d0 - k0][1] != result.certificate.values:
+            fail(f"certificate row d={d0}", rows[d0 - k0][1], result.certificate.values)
+        if not _inverts(rows, evals, k0):
+            for d, values in rows:
+                recovered = reconstruct(BetaTable(d, k0, values))
+                if recovered != evals[: d - k0 + 1]:
+                    i = next(i for i, v in enumerate(recovered) if v != evals[i])
+                    fail(f"inversion d={d} k={k0 + i}", evals[i], recovered[i])
         _parity_law(evals, extended, fail)
     return trials, violations
 

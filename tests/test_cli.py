@@ -448,6 +448,19 @@ def test_json_numbers_and_bools_sit_only_under_their_keys(argv, flip):
     assert len(found) == expected[argv[0]]
 
 
+def test_qdepth_json_refutes_a_top_row_near_miss():
+    # the top row at d = 11 is negative only at k = 2, by 2
+    spec = "free(7; " + ",".join(["0"] * 4 + ["-1"] * 18) + ")"
+    proc = run_cli("qdepth", spec, "--json")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["function"] == {"denomPower": 7, "numerator": {"0": "4", "1": "18"}}
+    assert (data["qdepth"], data["lowerBound"], data["upperBound"]) == ("10", "0", "11")
+    assert data["refutation"] == {"d": "11", "k": "2", "beta": "-2"}
+    table = run_cli("beta", spec, "--d", "10", "--json")
+    assert data["certificate"] == json.loads(table.stdout)["table"]
+
+
 def test_json_round_trip_recomputes():
     proc = run_cli("qdepth", "shift(ci(3; 2,2), -1)", "--json")
     data = json.loads(proc.stdout)
@@ -551,6 +564,21 @@ def test_verify_all_json_matches_pinned_digests():
     for flip, (code, digest) in VERIFY_ALL_DIGESTS.items():
         proc = run_cli("verify", "--all", "--json", flip=flip)
         assert proc.returncode == code, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+# SHA-256 of `hyp 12` stdout, text and --json: the Gauss row, the integer
+# sums and the c-table rows with their sign marks, byte for byte.
+HYP_DIGESTS = {
+    ("hyp", "12"): "114d57d0052e4521005c54e30dc2f25058c8bb6989ca0f0f6255aea022ba7d79",
+    ("hyp", "12", "--json"): "d7bf47aa4c7541b7a8cdf9d541d58d90bfa4bf6b81ad6342aaf72a885898aa7d",
+}
+
+
+def test_hyp_matches_pinned_digests():
+    for argv, digest in HYP_DIGESTS.items():
+        proc = run_cli(*argv)
+        assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 

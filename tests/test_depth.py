@@ -536,11 +536,18 @@ def test_negative_top_row_resumes_the_probe(monkeypatch):
     monkeypatch.setattr(depth, "_rows", counted("_rows"))
     monkeypatch.setattr(depth, "_top_row", counted("_top_row"))
     monkeypatch.setattr(depth, "FLIP", False)
-    result = qdepth(parse_function(RESUMED))
-    assert (result.qdepth, result.upper_bound) == (178, 181)
-    assert result.refutation == (179, 8, -6475267)
-    assert result.certificate.d == 178 and min(result.certificate.values) >= 0
-    assert sorted(calls) == ["_rows", "_top_row"]
+    for h, (d0, window, refutation) in [
+        (parse_function(RESUMED), (178, (0, 181), (179, 8, -6475267))),
+        # (4 + 18t) / (1 - t)^7: the top row at d = 11 is negative only at
+        # k = 2, by 2, so a top-row test that let it through would answer 11
+        (free_module(7, [0] * 4 + [-1] * 18), (10, (0, 11), (11, 2, -2))),
+    ]:
+        calls.clear()
+        result = qdepth(h)
+        assert sorted(calls) == ["_rows", "_top_row"]
+        assert (result.qdepth, (result.lower_bound, result.upper_bound)) == (d0, window)
+        assert result.refutation == refutation
+        assert result.certificate == beta_table(h, d0)
 
 
 def alpha_beta_oracle(alpha, d, k):

@@ -595,7 +595,7 @@ def test_complete_intersection_large_matches_product_oracle():
     assert h.to_json_dict() == expected.to_json_dict()
 
 
-def test_complete_intersection_term_cap():
+def test_complete_intersection_term_cap(monkeypatch):
     with pytest.raises(BudgetExceededError):
         complete_intersection(2, [10**15])
     with pytest.raises(BudgetExceededError):
@@ -607,6 +607,11 @@ def test_complete_intersection_term_cap():
     assert len(h.numerator) == 10**4
     assert sum(h.numerator.values()) == 5000 * 5001
     assert h.denom_power == 1
+    # at a small cap, T = 1 + 4 + 5 = 10 terms passes and one more is refused
+    monkeypatch.setattr(series, "MAX_CI_TERMS", 10)
+    assert len(complete_intersection(3, [5, 6]).numerator) == 10
+    with pytest.raises(BudgetExceededError, match="11 terms, above the cap 10"):
+        complete_intersection(3, [5, 7])
 
 
 def test_complete_intersection_work_cap():
@@ -627,6 +632,12 @@ def test_complete_intersection_work_cap_boundary(monkeypatch):
     assert sum(h.numerator.values()) == 30
     with pytest.raises(BudgetExceededError, match="22 term additions"):
         complete_intersection(4, [1, 1, 5, 7])
+    # each degree-2 form is a pass: T = 4 terms, 3 passes, work 12
+    monkeypatch.setattr(series, "MAX_CI_WORK", 12)
+    assert complete_intersection(3, [2, 2, 2]).numerator == {0: 1, 1: 3, 2: 3, 3: 1}
+    monkeypatch.setattr(series, "MAX_CI_WORK", 11)
+    with pytest.raises(BudgetExceededError, match="12 term additions, above the cap 11"):
+        complete_intersection(3, [2, 2, 2])
 
 
 @st.composite

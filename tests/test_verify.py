@@ -616,11 +616,13 @@ def test_no_battery_calls_beta(monkeypatch, flip):
 
 
 def test_structural_reads_a_far_refutation_off_one_row(monkeypatch):
-    # depth 13 and refutation (14, 14) lie past the 13 rows k0..k0 + 12 each
-    # case walks, so the refutation's entry comes from one ``beta_table``
-    h = parse_function("sum(poly(14),table(13:1000000000))")
-    result = qdepth(h)
-    assert (h.k0, result.qdepth, result.refutation[:2]) == (0, 13, (14, 14))
+    # a refuted case reads its refutation's entry off one ``beta_table`` row
+    # wherever it lies: depth 13 and refutation (14, 14) lie past the 13
+    # rows k0..k0 + 12 each case walks, depth 1 and (2, 2) inside them
+    inputs = {
+        "sum(poly(14),table(13:1000000000))": (13, (14, 14)),
+        "table(0:1,1:3)": (1, (2, 2)),
+    }
     rows = []
     clean = verify.beta_table
 
@@ -630,12 +632,18 @@ def test_structural_reads_a_far_refutation_off_one_row(monkeypatch):
 
     monkeypatch.setattr(depth, "FLIP", False)
     monkeypatch.setattr(verify, "beta_table", counted)
-    monkeypatch.setattr(verify, "random_hilbert_function", lambda rng: h)
-    assert run_battery("structural", trials=3).passed
-    assert rows == [14, 14, 14]
-    _result_fault(_refutation_off_by_one)(monkeypatch)
-    cases = [v.case for v in run_battery("structural", trials=3).violations]
-    assert cases == [f"case {i}: h={_describe(h)} refutation" for i in range(3)]
+    for spec, (d0, (rd, rk)) in inputs.items():
+        h = parse_function(spec)
+        result = qdepth(h)
+        assert (h.k0, result.qdepth, result.refutation[:2]) == (0, d0, (rd, rk))
+        monkeypatch.setattr(verify, "random_hilbert_function", lambda rng: h)
+        rows.clear()
+        assert run_battery("structural", trials=3).passed
+        assert rows == [rd, rd, rd]
+        with monkeypatch.context() as faulted:
+            _result_fault(_refutation_off_by_one)(faulted)
+            cases = [v.case for v in run_battery("structural", trials=3).violations]
+        assert cases == [f"case {i}: h={_describe(h)} refutation" for i in range(3)]
 
 
 def test_batteries_check_the_kernel(monkeypatch):
