@@ -51,7 +51,8 @@ def gauss_2f1(k: int, n: int) -> Fraction:
     and b_j = (j - n)(j + 1), so the sum is 1 + r_0 (1 + r_1 (1 + ...
     (1 + r_(k-1)))).  Horner's rule from the inside keeps it as one integer
     fraction N / D (N <- b_j D + a_j N, D <- b_j D); a single Fraction is
-    built at the end.
+    built at the end.  The entry check 0 <= k <= n makes j - n < 0 for every
+    j < k, so no b_j is zero.
 
     ``fractions`` is imported here, where the Fraction is built, and
     nowhere else: importing it (and ``decimal`` with it) at module level
@@ -65,9 +66,6 @@ def gauss_2f1(k: int, n: int) -> Fraction:
         raise OutOfRangeError(f"need 0 <= k <= n, got k={k}, n={n}")
     num = den = 1
     for j in range(k - 1, -1, -1):
-        # (j - n) is the lower-parameter factor; j < k <= n keeps it
-        # strictly negative, never zero.
-        assert -n + j != 0
         b = (j - n) * (j + 1)
         num, den = b * den + (k - j) * (n + j) * num, b * den
     return Fraction(num, den)

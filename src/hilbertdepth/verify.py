@@ -29,6 +29,15 @@ helper, which both call with their reporter: ``_extension_law``
 (qdepth(extend(h)) >= qdepth(h)) and ``_parity_law`` serve ``extension``
 and ``structural``.
 
+Every law compares two routes to one value: the answer of the code under
+test against a depth or sign that the paper states, an independent route
+(the closed Gauss form, the numerator route ``_top_row``, a second count),
+or the answer for a transformed input (a shift, scale, sum, extension or
+padding).  A check whose sides are one route, or whose side is a function
+of values that another law of the case has already compared, can never
+report on its own, so none is kept: ``ci-truncation`` compares the values
+on [0, n] and not the beta row at n, which those values determine.
+
 No battery calls ``depth.beta``, which builds a whole row for one entry.
 A battery reads a single row through ``beta_table`` and walks
 ``beta_rows`` over a window only where it checks every row of it.
@@ -264,7 +273,11 @@ def verify_ci_recursion(
 
 def verify_ci_truncation(max_n: int, max_degree: int) -> tuple[int, list[Violation]]:
     """Padding a complete intersection with forms of degree n + 1 leaves the
-    values on [0, n], and hence the beta row at n, unchanged."""
+    values on [0, n] unchanged.
+
+    The beta row at n is not compared as well: a complete intersection has
+    k0 = 0, so that row is a function of the values on [0, n] alone, and it
+    differs exactly when the values compared here differ."""
     violations = []
     cases = 0
     for n in range(1, max_n + 1):
@@ -280,8 +293,6 @@ def verify_ci_truncation(max_n: int, max_degree: int) -> tuple[int, list[Violati
                 for j, (a, b) in enumerate(pairs):
                     if a != b:
                         fail(f"value j={j}", a, b)
-                if beta_table(plain, n) != beta_table(padded, n):
-                    fail("beta row", "equal tables", "differ")
     return cases, violations
 
 

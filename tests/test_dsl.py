@@ -90,6 +90,9 @@ def test_elaboration_errors():
         parse_function("table(0:-1)")
     with pytest.raises(ElaborationError):
         parse_function("scale(poly(2), 0)")
+    # a tree built by hand can name an op that the parser never emits
+    with pytest.raises(ElaborationError, match="^unknown constructor 'nope'$"):
+        dsl.elaborate(dsl.FunctionSpec("nope", ()))
     # summing a repeated degree would let a negative literal past the sign check
     for text in ("table(0:2,0:-1)", "table(0:1,0:1)", "table(0:1,1:1,0:1)"):
         with pytest.raises(ElaborationError, match="^table: degree 0 appears more"):

@@ -149,6 +149,8 @@ def test_free_module():
     assert h.evaluate(0) == 2 and h.evaluate(1) == 5
     with pytest.raises(InvalidArityError):
         free_module(2, [])
+    with pytest.raises(InvalidArityError):
+        free_module(0, [0])
 
 
 def test_free_module_is_shifted_ring():
@@ -191,6 +193,8 @@ def test_complete_intersection_errors():
     # validation reads the forms in the given order, before any sorting
     with pytest.raises(InvalidDegreeError, match="degree 0 "):
         complete_intersection(3, [5, 0, -1])
+    with pytest.raises(InvalidArityError):
+        complete_intersection(0, [])
 
 
 def test_finite_ci_total_mass():
@@ -246,6 +250,10 @@ def test_add():
         assert doubled.evaluate(k) == 2 * (k + 1)
     mixed = from_table({0: 1}) + polynomial_ring(1)
     assert [mixed.evaluate(k) for k in range(4)] == [2, 1, 1, 1]
+    # only another Hilbert function adds or compares
+    with pytest.raises(TypeError):
+        polynomial_ring(2) + 1
+    assert (polynomial_ring(2) == 1) is False
 
 
 def test_add_pointwise_on_window():
@@ -342,6 +350,10 @@ def test_extend():
     for n in range(1, 6):
         assert extend(polynomial_ring(n)) == polynomial_ring(n + 1)
     assert extend(from_table({0: 1, 1: 1})).evaluate(3) == 2
+    # p = 0 with coefficients summing to zero: the prefix sums vanish past
+    # the numerator, so the result is a table, not a function of power 1
+    assert extend(HilbertFunction({0: 1, 1: -1}, 0)) == from_table({0: 1})
+    assert extend(HilbertFunction({0: 2, 1: -1, 2: -1}, 0)) == from_table({0: 2, 1: 1})
 
 
 def test_extend_difference_property():
@@ -474,6 +486,15 @@ def test_zero_function_unrepresentable():
         HilbertFunction({}, 2)
     with pytest.raises(EmptyFunctionError):
         HilbertFunction({0: 0, 3: 0}, 1)
+
+
+def test_constructor_rejects_a_negative_power_or_first_value():
+    with pytest.raises(ValueError, match="^denominator power must be nonnegative$"):
+        HilbertFunction({0: 1}, -1)
+    with pytest.raises(
+        NegativeValueError, match="^value at first nonzero degree 0 is negative$"
+    ):
+        HilbertFunction({0: -1, 1: 2}, 0)
 
 
 def test_constructor_takes_any_int_mapping():

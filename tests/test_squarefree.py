@@ -367,6 +367,8 @@ def test_random_quotient_failure():
         random_quotient(1, 3, 1, 1)
     with pytest.raises(GenerationFailedError):
         random_quotient(2, 3, 0, 0)
+    with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+        random_quotient(0, 1, 1, 0)
 
 
 def test_variable_cap():
@@ -416,6 +418,8 @@ def test_parse_and_format():
         parse_ideal("y2", 3)
     with pytest.raises(ParseError):
         parse_ideal("x1,,x2", 3)
+    with pytest.raises(ParseError, match="^empty ideal description at position 0"):
+        parse_ideal("  ", 2)
     # a position names the variable itself, past any space after a '*'
     for text, position in (("x1 * y2", 5), ("x1 *  x1", 6), ("x2, x1 *x4", 8)):
         with pytest.raises(ParseError) as err:
