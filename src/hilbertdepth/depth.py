@@ -262,7 +262,8 @@ def _top_row(h: HilbertFunction, d: int) -> list[int]:
             = sum_e c_e t^(e - k0) (1 - t)^(d + p - e) (1 - 2t)^(-p),
 
     so each term with i = e - k0 < L adds c_e times the first L - i
-    coefficients of A = (1 - t)^a (1 - 2t)^(-p), a = d + p - e.  From
+    coefficients of A = (1 - t)^a (1 - 2t)^(-p), a = d + p - e; a term at
+    or past L meets an empty slice, row[i:], and adds nothing.  From
     (1 - t)(1 - 2t) A' = ((2p - a) + (2a - 2p) t) A, with A_0 = 1 and
     A_(-1) = 0,
 
@@ -284,8 +285,6 @@ def _top_row(h: HilbertFunction, d: int) -> list[int]:
     row = [0] * size
     for e, c in h.numerator.items():
         i = e - k0
-        if i >= size:
-            continue
         a = d + p - e
         col = [1]
         prev, cur = 0, 1

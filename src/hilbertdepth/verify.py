@@ -239,8 +239,10 @@ def verify_ci_recursion(
     by d_n - 1, both as canonical forms and entrywise on the beta row at n,
     where the shifted summand only enters for k >= d_n - 1.  Each of the
     three functions gives one kernel row, read from one window; the smaller
-    one's row at n - d_n + 1 exists only when d_n <= n + 1.  With n in
-    [2, max_n] and d_n in [3, max_degree], an empty range gives no cases.
+    one's row at n - d_n + 1 exists only when d_n <= n + 1.  Both laws run
+    on every case: the beta-row law reads only the three rows, so it still
+    names the entries that differ when the series law has failed.  With n
+    in [2, max_n] and d_n in [3, max_degree], an empty range gives no cases.
     """
     violations = []
     rng = random.Random(seed)
@@ -257,7 +259,6 @@ def verify_ci_recursion(
         recombined = h_lowered + shift(h_smaller, -(dn - 1))
         if h_full != recombined:
             fail("series", h_full, recombined)
-            continue
         full = beta_table(h_full, n)
         lowered = beta_table(h_lowered, n)
         smaller = beta_table(h_smaller, n - dn + 1) if dn <= n + 1 else None
@@ -491,10 +492,9 @@ def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
     and (-1)^j c(k, j) > 0 throughout rows k >= 2 of the table.  The Gauss
     sign is read off the ring row G of the module docstring, since
     (-1)^k gauss_2f1(k, n) is G_k / C(n, k); big_e stays its own O(k) sum,
-    the independent route that ``check_derivative_link`` needs.  Each
-    c-row's signs are tested by one min and one max, and only a row that
-    fails them is walked entry by entry.  Each n has one ``reporter`` with
-    the prefix ``n={n}``, and every failed law reports its value.
+    the independent route that ``check_derivative_link`` needs.  Each n has
+    one ``reporter`` with the prefix ``n={n}``, and every failed law reports
+    its value.
     """
     violations: list[Violation] = []
     cases = 0
@@ -519,8 +519,6 @@ def check_sign_positivity(max_n: int) -> tuple[int, list[Violation]]:
             if e <= 0:
                 fail(f"k={k} big_e", "> 0", e)
             row = table.rows[k - 1]
-            if min(row[::2]) > 0 and max(row[1::2]) < 0:
-                continue
             sign = 1
             for j, c in enumerate(row):
                 signed, sign = sign * c, -sign

@@ -345,11 +345,17 @@ def test_hyp_output():
     assert "[1, 0, 2]" in proc.stdout
     proc = run_cli("hyp", "3")
     assert "E(3,2)=6" in proc.stdout and "E(3,3)=36" in proc.stdout
+    # n = 1 has no integer sums, so no line for them
     proc = run_cli("hyp", "1")
     assert proc.returncode == 0
-    assert "[1, 0]" in proc.stdout
-    proc = run_cli("hyp", "0")
-    assert proc.returncode == 2
+    assert proc.stdout == (
+        "gauss values (k=0..1): [1, 0]\n"
+        "derivative table (rows k, entries j=0..k, sign annotated):\n"
+        "  k=1: 1(+)  0(0)\n"
+    )
+    # the command's own check, before any table is built
+    for n in ("0", "-1"):
+        assert_one_line_exit_2(run_cli("hyp", n), f"error: need n >= 1, got {n}")
 
 
 def test_verify_selected_batteries():

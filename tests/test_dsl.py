@@ -59,10 +59,16 @@ def test_negative_table_keys():
 
 def test_parse_errors_carry_positions():
     # per-constructor messages are pinned in test_parse_error_messages
-    for text, position in (("poly(3) poly(2)", 8), ("poly(x)", 5), ("", 0)):
+    # the tokenizer's bounds: a "(" with no token before it, and a name
+    # that ends the text
+    for text, position in (
+        ("poly(3) poly(2)", 8), ("poly(x)", 5), ("", 0),
+        ("(", 0), ("(poly(3))", 0), ("poly", 4), ("sum(poly(2),poly", 16),
+    ):
         with pytest.raises(ParseError) as info:
             parse_spec(text)
         assert info.value.position == position
+        assert isinstance(info.value.expected, tuple)
 
 
 def test_only_ascii_digits_make_an_integer():

@@ -176,6 +176,8 @@ def test_coeff_table_row_one():
             assert table.value(1, j) == factorial(j) * series[j]
     # the closed form must give 1 at j = 0
     assert coeff_table(5, 1, 0).value(1, 0) == 1
+    # rows come as a tuple of tuples, so the table is a hashable record
+    assert coeff_table(2, 2, 1) == CoeffTable(2, 2, 1, ((1, 0), (1, -1)))
 
 
 def test_coeff_table_recurrence_values():
@@ -203,8 +205,12 @@ def test_coeff_table_errors():
         coeff_table(0, 3, 3)
     with pytest.raises(InvalidArityError):
         coeff_table(2, 0, 3)
-    with pytest.raises(OutOfRangeError):
-        coeff_table(2, 2, 2).value(3, 0)
+    with pytest.raises(InvalidArityError):
+        coeff_table(2, 2, -1)
+    # one index past each of the four edges of the table
+    for k, j in ((0, 0), (1, 3), (1, -1), (3, 0)):
+        with pytest.raises(OutOfRangeError):
+            coeff_table(2, 2, 2).value(k, j)
 
 
 def test_sign_battery():

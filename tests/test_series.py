@@ -149,6 +149,9 @@ def test_free_module():
     assert h.evaluate(0) == 2 and h.evaluate(1) == 5
     with pytest.raises(InvalidArityError):
         free_module(2, [])
+    # any iterable of shifts, read once
+    with pytest.raises(InvalidArityError):
+        free_module(2, iter([]))
     with pytest.raises(InvalidArityError):
         free_module(0, [0])
 
@@ -169,6 +172,8 @@ def test_complete_intersection_tables():
     # a degree-1 form contributes an empty numerator factor but still
     # consumes one denominator power, like quotienting by a variable
     assert complete_intersection(3, [1, 2]) == complete_intersection(2, [2])
+    # any iterable of degrees, read once
+    assert complete_intersection(3, iter([3, 2])) == complete_intersection(3, [2, 3])
 
 
 def test_complete_intersection_against_count_oracle():
@@ -254,6 +259,8 @@ def test_add():
     with pytest.raises(TypeError):
         polynomial_ring(2) + 1
     assert (polynomial_ring(2) == 1) is False
+    # equal numerators over different powers are different functions
+    assert HilbertFunction({0: 1}, 1) != HilbertFunction({0: 1}, 2)
 
 
 def test_add_pointwise_on_window():
@@ -503,6 +510,12 @@ def test_constructor_takes_any_int_mapping():
     shifts = Counter({0: 2, -1: 1, 4: 0})
     assert HilbertFunction(shifts, 2) == free_module(2, [0, 0, 1])
     assert HilbertFunction({0: 1, 1: -1}, 1) == from_table({0: 1})
+    # the repr lists the numerator by exponent, whatever order it came in:
+    # the text a failed ``ci-recursion`` series law prints for each side
+    assert repr(HilbertFunction({2: 1, 0: 3}, 0)) == (
+        "HilbertFunction({0: 3, 2: 1}, denom_power=0)"
+    )
+    assert list(HilbertFunction({2: 1, 0: 3}, 0).to_json_dict()["numerator"]) == ["0", "2"]
 
 
 def test_numerator_is_read_only():

@@ -133,6 +133,10 @@ def test_minimalize():
         rng.shuffle(shuffled)
         assert minimalize(sample) == minimalize(shuffled)
     assert minimalize([0, 0b1, 0b10]) == frozenset({0})
+    # a set of these two iterates 0b1011 first, so the degree order matters
+    assert minimalize([0b11, 0b1011]) == frozenset({0b11})
+    # any iterable of masks, read once
+    assert SquarefreeIdeal.from_masks(3, iter([0b1, 0b11])).generators == frozenset({1})
 
 
 def test_alpha_vector_examples():
@@ -215,6 +219,8 @@ def test_quotient_validation():
         SquarefreeQuotient(2, parse_ideal("x1", 2), parse_ideal("x1", 2))
     with pytest.raises(InvalidQuotientError):
         SquarefreeQuotient(2, parse_ideal("0", 2), parse_ideal("0", 2))
+    with pytest.raises(InvalidQuotientError, match="different variable counts"):
+        SquarefreeQuotient(3, parse_ideal("x1", 2), parse_ideal("0", 3))
     with pytest.raises(InvalidQuotientError, match="n=-1"):
         SquarefreeQuotient(-1, SquarefreeIdeal.unit(-1), SquarefreeIdeal.zero(-1))
 
@@ -367,8 +373,14 @@ def test_random_quotient_failure():
         random_quotient(1, 3, 1, 1)
     with pytest.raises(GenerationFailedError):
         random_quotient(2, 3, 0, 0)
+    # no outer generators: no outer ideal to force an inner generator into
+    with pytest.raises(GenerationFailedError):
+        random_quotient(3, 1, 0, 1)
     with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
         random_quotient(0, 1, 1, 0)
+    # past the hard cap before any mask is drawn
+    with pytest.raises(TooManyVariablesError):
+        random_quotient(29, 0, 1, 0)
 
 
 def test_variable_cap():
@@ -420,6 +432,10 @@ def test_parse_and_format():
         parse_ideal("x1,,x2", 3)
     with pytest.raises(ParseError, match="^empty ideal description at position 0"):
         parse_ideal("  ", 2)
+    with pytest.raises(ParseError, match="^empty generator at position 3"):
+        parse_ideal("x1, ,x2", 3)
+    # the unit ideal is a hashable record, like any other
+    assert {parse_ideal("1", 3)} == {SquarefreeIdeal.unit(3)}
     # a position names the variable itself, past any space after a '*'
     for text, position in (("x1 * y2", 5), ("x1 *  x1", 6), ("x2, x1 *x4", 8)):
         with pytest.raises(ParseError) as err:

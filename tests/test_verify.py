@@ -23,7 +23,7 @@ from hilbertdepth import (
     verify,
 )
 from hilbertdepth.depth import BetaTable, reconstruct
-from hilbertdepth.errors import OutOfRangeError
+from hilbertdepth.errors import GenerationFailedError, OutOfRangeError
 from hilbertdepth.hypergeometric import gauss_2f1
 from hilbertdepth.series import scale
 from hilbertdepth.verify import (
@@ -237,6 +237,23 @@ def test_quotient_battery_rejects_max_n_past_the_default_cap(monkeypatch):
     assert run_battery("quotients", trials=2, seed=1, max_n=20).passed
 
 
+def test_quotient_battery_draws_a_bounded_number_of_times(monkeypatch):
+    # a generator that never succeeds: the battery gives up after 20 draws
+    # per trial; past 1000 draws the fake stops the run instead of hanging
+    draws = []
+
+    def failing(*args):
+        draws.append(args)
+        if len(draws) > 1000:
+            raise RuntimeError("the battery draws without bound")
+        raise GenerationFailedError("no quotient")
+
+    monkeypatch.setattr(verify, "random_quotient", failing)
+    report = run_battery("quotients", trials=3, max_n=4)
+    assert (report.cases_run, report.violations) == (0, [])
+    assert len(draws) == 60
+
+
 def test_random_pool_is_reproducible():
     pool_a = [random_hilbert_function(random.Random(6)) for _ in range(1)]
     pool_b = [random_hilbert_function(random.Random(6)) for _ in range(1)]
@@ -270,7 +287,6 @@ def ci_recursion_reference(trials, seed, flip, max_n=6, max_degree=6):
             violations.append(
                 Violation(f"{descriptor} series", repr(h_full), repr(recombined))
             )
-            continue
         for k in range(n + 1):
             lhs = closed_form_beta(h_full, n, k, flip)
             rhs = closed_form_beta(h_lowered, n, k, flip)
@@ -856,6 +872,16 @@ def _negative_first_entry(result):
     )
 
 
+def _refutation_at_k0(result):
+    # the refutation names entry k0 of its row with that entry's true value,
+    # beta(d, k0) = h(k0) > 0, which the certificate's first entry also holds
+    if result.refutation is None:
+        return result
+    d = result.refutation[0]
+    certificate = result.certificate
+    return result._replace(refutation=(d, certificate.start_k, certificate.values[0]))
+
+
 def _refutation_off_by_one(result):
     if result.refutation is None:
         return result
@@ -872,6 +898,11 @@ _VACUITY_CASES = [
         _result_fault(lambda r: r._replace(lower_bound=r.qdepth + 1)), id="window",
     ),
     pytest.param(
+        "structural", r" window",
+        _result_fault(lambda r: r._replace(qdepth=r.upper_bound + 1)),
+        id="window-upper",
+    ),
+    pytest.param(
         "structural", r" certificate", _result_fault(_negative_first_entry),
         id="certificate",
     ),
@@ -882,6 +913,10 @@ _VACUITY_CASES = [
     pytest.param(
         "structural", r" refutation", _result_fault(_refutation_off_by_one),
         id="refutation",
+    ),
+    pytest.param(
+        "structural", r" refutation", _result_fault(_refutation_at_k0),
+        id="refutation-nonnegative",
     ),
     pytest.param(
         "structural", r" support cap",
@@ -916,6 +951,27 @@ def test_no_battery_check_is_vacuous(monkeypatch, battery, law, fault):
     fault(monkeypatch)
     cases = [v.case for v in run_battery(battery, trials=12).violations]
     assert any(re.search(law + "$", case) for case in cases), cases[:5]
+
+
+def test_ci_recursion_checks_the_beta_row_after_a_failed_series_law(monkeypatch):
+    # a complete intersection of n forms whose last degree is at least 3
+    # comes back without that form, so the series law fails; the beta rows
+    # at n differ where the smaller summand enters, and the case must name
+    # both laws
+    def faulty(n, degrees):
+        degrees = list(degrees)
+        if len(degrees) == n and degrees[-1] >= 3:
+            degrees = degrees[:-1]
+        return complete_intersection(n, degrees)
+
+    monkeypatch.setattr(depth, "FLIP", False)
+    monkeypatch.setattr(verify, "complete_intersection", faulty)
+    report = run_battery("ci-recursion", trials=12)
+    laws = {}
+    for v in report.violations:
+        case, law = re.match(r"^(case \d+): .* (series|beta k=\d+)$", v.case).groups()
+        laws.setdefault(case, set()).add(law.split("=")[0])
+    assert {"series", "beta k"} in laws.values(), laws
 
 
 def test_beta_identity_names_a_numerator_route_fault_far_out(monkeypatch):
