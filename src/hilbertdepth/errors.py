@@ -32,7 +32,8 @@ class OutOfRangeError(HilbertDepthError):
 
 
 class TooManyVariablesError(HilbertDepthError):
-    """Variable count above the cap on 2^n-bit alpha bitsets."""
+    """Variable count above the cap on alpha counting, whose bitsets have up
+    to 2^n bits."""
 
 
 class BudgetExceededError(HilbertDepthError):

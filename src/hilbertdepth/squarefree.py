@@ -8,11 +8,13 @@ ideal, the single mask 0 generates the whole ring.
 
 The degree-k count vector alpha of the monomials lying in the outer ideal
 but not the inner one is the Hilbert function of a finite module.  It is
-counted on bitsets held in Python ints, with no interpreter loop over the
-2^n masks: bit m of a 2^n-bit int says whether mask m lies in a set of
-monomials, an ideal is the OR of its generators' multiples, the quotient is
-``upper & ~lower``, and each degree count is a popcount against a fixed
-layer of the masks of that degree (see ``alpha_vector``).
+counted over the s variables that some generator uses, on bitsets held in
+Python ints, with no interpreter loop over the 2^s masks: bit m of a
+2^s-bit int says whether mask m lies in a set of monomials, an ideal is the
+OR of its generators' multiples, the quotient is ``upper & ~lower``, and
+each degree count is a popcount against a fixed layer of the masks of that
+degree.  The n - s unused variables then multiply the counts by
+(1 + t)^(n - s) (see ``alpha_vector``).
 
 The depth computed directly from alpha agrees with the depth of that
 function; ``check_qdepth_match`` exercises the equivalence.  The alpha
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import random
 import re
+from operator import add
 from typing import Iterable, NamedTuple
 
 from .depth import QDepthResult, _scan, qdepth
@@ -142,8 +145,8 @@ def _resolve_cap(n: int, max_vars: int | None) -> None:
 
 # Degree counts are taken 2^_CHUNK_BITS masks at a time.  _LAYERS[j] has
 # bit m set, for m < 2^_CHUNK_BITS, exactly when m has j bits set; the
-# 13 layers are 4096-bit ints, so layers for all n bits (about (n+1) * 2^n
-# bits) are never built.
+# 13 layers are 4096-bit ints, so layers for all s support bits (about
+# (s+1) * 2^s bits) are never built.
 _CHUNK_BITS = 12
 
 
@@ -158,23 +161,26 @@ def _popcount_layers(bits: int) -> tuple[int, ...]:
 _LAYERS = _popcount_layers(_CHUNK_BITS)
 
 
-def _members(ideal: SquarefreeIdeal) -> int:
-    """The 2^n-bit set of the ideal's monomials: bit m is set iff mask m is
-    a multiple of some generator.
+def _members(ideal: SquarefreeIdeal, support: list[int]) -> int:
+    """The 2^s-bit set of the ideal's monomials in the s variables at the
+    bit positions ``support``: bit j of a mask m stands for the j-th of
+    them, and bit m is set iff that monomial is a multiple of some generator.
 
-    A generator's multiples are built by n doublings from {0}: variable i
-    either must divide (shift every mask up by bit i) or is free (keep each
-    mask with and without bit i).
+    A generator's multiples are built by s doublings from {0}: support
+    variable j either must divide (shift every mask up by bit j) or is free
+    (keep each mask with and without bit j).  ``support`` must cover every
+    generator's variables.
     """
     members = 0
     for g in ideal.generators:
         multiples = 1
-        for i in range(ideal.n):
-            step = 1 << i
+        step = 1
+        for i in support:
             if g >> i & 1:
                 multiples <<= step
             else:
                 multiples |= multiples << step
+            step <<= 1
         members |= multiples
     return members
 
@@ -182,25 +188,38 @@ def _members(ideal: SquarefreeIdeal) -> int:
 def alpha_vector(q: SquarefreeQuotient, max_vars: int | None = None) -> list[int]:
     """Count, per degree, the squarefree monomials in upper minus lower.
 
-    The quotient's monomials form one 2^n-bit int (see ``_members``).  It is
-    cut into chunks of 2^12 masks sharing their high bits h; chunk h adds
-    its popcount against layer j to degree popcount(h) + j.  The loop runs
-    2^(n-12) times, once for n <= 12, and memory stays at a few 2^n-bit
-    ints: 128 KiB each at n = 20, 32 MiB each at the hard cap n = 28.
+    Only the s variables that some generator of either ideal uses are
+    enumerated.  The quotient's monomials in them form one 2^s-bit int (see
+    ``_members``).  It is cut into chunks of 2^12 masks sharing their high
+    bits h; chunk h adds its popcount against layer j to degree
+    popcount(h) + j.  The loop runs 2^(s-12) times, once for s <= 12, and
+    memory stays at a few 2^s-bit ints: 128 KiB each at s = 20, 32 MiB each
+    when the generators use all n = 28 variables of the hard cap.
+
+    Each of the n - s unused variables only extends the quotient, as
+    S[x_{n+1}] extends M in the extension theorem: a monomial may take it or
+    not, so the count is multiplied by (1 + t), one Pascal pass per variable.
     """
     _resolve_cap(q.n, max_vars)
-    n = q.n
-    members = _members(q.upper) & ~_members(q.lower)
+    used = 0
+    for g in (*q.upper.generators, *q.lower.generators):
+        used |= g
+    support = [i for i in range(used.bit_length()) if used >> i & 1]
+    s = len(support)
+    members = _members(q.upper, support) & ~_members(q.lower, support)
     chunk_bytes = 1 << (_CHUNK_BITS - 3)
-    chunks = 1 << max(n - _CHUNK_BITS, 0)
+    chunks = 1 << max(s - _CHUNK_BITS, 0)
     data = members.to_bytes(chunks * chunk_bytes, "little")
-    alpha = [0] * (max(n, _CHUNK_BITS) + 1)
+    alpha = [0] * (max(s, _CHUNK_BITS) + 1)
     for h in range(chunks):
         chunk = int.from_bytes(data[h * chunk_bytes:(h + 1) * chunk_bytes], "little")
         base = h.bit_count()
         for j, layer in enumerate(_LAYERS):
             alpha[base + j] += (chunk & layer).bit_count()
-    return alpha[: n + 1]
+    alpha = alpha[: s + 1]
+    for _ in range(q.n - s):
+        alpha = [*map(add, [*alpha, 0], [0, *alpha])]
+    return alpha
 
 
 def qdepth_from_alpha(alpha: list[int]) -> QDepthResult:

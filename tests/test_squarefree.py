@@ -3,17 +3,18 @@
 The alpha oracle below enumerates variable subsets with itertools instead
 of scanning masks, and ideal membership is re-derived from set inclusion.
 A second oracle counts by inclusion-exclusion over generator subsets, which
-costs 2^g instead of 2^n and so reaches n = 20.
+costs 2^g instead of 2^n and so reaches the hard cap n = 28.
 """
 
 import functools
 import itertools
 import operator
 import random
+import tracemalloc
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hilbertdepth import (
     EmptyFunctionError,
@@ -86,9 +87,13 @@ def alpha_inclusion_exclusion(q):
 
 
 @st.composite
-def quotients(draw):
+def quotients(draw, sparse=False):
     n = draw(st.integers(1, 20))
     masks = st.integers(0, (1 << n) - 1)
+    if sparse:
+        # generators over s of the n variables, s in 0..n
+        used = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+        masks = masks.map(sum(1 << i for i in used).__and__)
     upper = SquarefreeIdeal.from_masks(n, draw(st.lists(masks, min_size=1, max_size=5)))
     ordered = sorted(upper.generators)
     inner = []
@@ -167,6 +172,35 @@ def test_alpha_vector_matches_inclusion_exclusion(q):
 
 def quotient(n, upper, lower):
     return SquarefreeQuotient(n, parse_ideal(upper, n), parse_ideal(lower, n))
+
+
+# 14 of 20 variables: four chunks of the 2^14-bit set, then six Pascal passes
+WIDE_SUPPORT = quotient(20, "x1*x3*x5*x7*x9, x2*x4*x6*x8*x10*x11", "x1*x3*x5*x7*x9*x12*x13*x14")
+# 5 of 28 variables, under the hard cap
+NARROW_SUPPORT = quotient(28, "x1*x2, x3*x5*x7", "x1*x2*x5")
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=quotients(sparse=True))
+@example(q=WIDE_SUPPORT)
+# 3 of 20 variables: one chunk, then 17 passes
+@example(q=quotient(20, "x4*x9, x17", "x4*x9*x17"))
+@example(q=NARROW_SUPPORT)
+# upper "1" uses no variable: s = 0, and every count comes from the fold
+@example(q=quotient(9, "1", "0"))
+def test_alpha_vector_over_the_support_matches_inclusion_exclusion(q):
+    assert alpha_vector(q, max_vars=q.n) == alpha_inclusion_exclusion(q)
+
+
+def test_alpha_vector_builds_no_2n_bitset():
+    # a 2^28-bit set alone would be 32 MiB
+    tracemalloc.start()
+    try:
+        alpha_vector(NARROW_SUPPORT, max_vars=28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("n", [1, 2, 11, 12, 13, 14, 20])
