@@ -58,6 +58,11 @@ answer; otherwise a nonnegative top row is, and a negative one resumes the
 walk on the same stream from the probe's last row, so no row is built
 twice.  The probe costs about what the row does, so no input costs much
 more than the walk alone, and a dense numerator probes the whole window.
+A one-term numerator c t^e / (1 - t)^p is the ring in p variables shifted
+by e and scaled by c, so by qdepth(h_S) = n and shift and scale
+equivariance its depth is the window top e + p: no probe can refute, and
+it probes the one row d = k0.  The theorem only picks that route; the top
+row's sign test still decides the answer.
 
 The fault hook ``HILBERTDEPTH_FLIP_BETA`` is read only in this module,
 once, into ``FLIP`` when it is imported, and applied only by
@@ -87,7 +92,9 @@ FLIP_BETA_ENV = "HILBERTDEPTH_FLIP_BETA"
 FLIP = bool(os.environ.get(FLIP_BETA_ENV))
 # Probe length in ``qdepth``, in units of sqrt(T W): the probe scan's
 # ~2 T W subtractions match the top row's ~T W recurrence steps, and a
-# dense numerator (4 T >= W) probes the whole window, the plain scan.
+# dense numerator (4 T >= W) probes the whole window, the plain scan.  A
+# one-term numerator, a shifted and scaled ring whose depth is its window
+# top (qdepth(h_S) = n), probes the one row d = k0 instead.
 TOP_ROW_RATIO = 4
 
 
@@ -269,7 +276,9 @@ def _top_row(h: HilbertFunction, d: int) -> list[int]:
 
         (k + 1) A_(k + 1) = (3k + 2p - a) A_k + 2(a - p - k + 1) A_(k - 1),
 
-    one exact division per entry: O(T_L L) for the T_L terms below L.
+    one exact division per entry: O(T_L L) for the T_L terms below L.  The
+    step is linear, so it runs on c_e A from c_e A_0 = c_e and the column
+    needs no scaling pass.
 
     At h = S, the ring in n variables, and d = n there is one term, with
     p = n and a = 2n, and the step is
@@ -286,13 +295,16 @@ def _top_row(h: HilbertFunction, d: int) -> list[int]:
     for e, c in h.numerator.items():
         i = e - k0
         a = d + p - e
-        col = [1]
-        prev, cur = 0, 1
-        for k in range(size - i - 1):
-            prev, cur = cur, ((3 * k + 2 * p - a) * cur
-                              + 2 * (a - p - k + 1) * prev) // (k + 1)
+        steps = size - i - 1
+        col = [c]
+        prev, cur = 0, c
+        # the step's coefficients 3k + 2p - a, 2(a - p - k + 1) and k + 1
+        up, down = 2 * p - a, 2 * (a - p + 1)
+        for x, y, z in zip(range(up, up + 3 * steps, 3),
+                           range(down, down - 2 * steps, -2), range(1, steps + 1)):
+            prev, cur = cur, (x * cur + y * prev) // z
             col.append(cur)
-        row[i:] = map(add, row[i:], map(c.__mul__, col))
+        row[i:] = map(add, row[i:], col)
     return row
 
 
@@ -303,8 +315,11 @@ def qdepth(h: HilbertFunction) -> QDepthResult:
     value or a window wider than MAX_WINDOW, and its top is read back off
     those values.  One stream of ``beta_rows`` from k0 to the top is walked
     once.  Its first P rows are a probe, P = sqrt(TOP_ROW_RATIO T W) for T
-    numerator terms and W values, or the whole window under ``FLIP``.  If
-    the probe neither refutes nor reaches the top, one ``_top_row`` at the
+    numerator terms and W values, or the whole window under ``FLIP``.  With
+    one term, c t^e / (1 - t)^p, P = 1: h is then the ring in p variables
+    shifted by e and scaled by c, whose depth is the window top by
+    qdepth(h_S) = n, so no longer probe could refute.  If the probe
+    neither refutes nor reaches the top, one ``_top_row`` at the
     top that is nonnegative proves the top is the depth (prefix-sum lemma),
     and a negative one resumes the walk from the probe's last row.
     d = k0 is always feasible because beta(k0, k0) = h(k0) > 0.
@@ -312,7 +327,13 @@ def qdepth(h: HilbertFunction) -> QDepthResult:
     evals = h.values(*bounds(h))
     low, high = _window(evals, h.k0)
     rows = islice(beta_rows(evals, low), high - low + 1)
-    size = len(evals) if FLIP else isqrt(TOP_ROW_RATIO * len(h.numerator) * len(evals))
+    terms = len(h.numerator)
+    if FLIP:
+        size = len(evals)
+    elif terms == 1:
+        size = 1
+    else:
+        size = isqrt(TOP_ROW_RATIO * terms * len(evals))
     probe = _walk(islice(rows, size), low, low, high)
     if probe.refutation is not None or probe.qdepth == high:
         return probe

@@ -138,7 +138,8 @@ def _tokenize(text: str) -> list[Token]:
         if ch in "(),:;":
             tokens.append((ch, ch, i))
             i += 1
-            if ch == "(" and len(tokens) > 1 and tokens[-2][1] == "table":
+            # a run starts only right after "(" (_RUN_STEP's look-behind)
+            if len(tokens) > 1 and tokens[-2][1] == "table":
                 i = _pair_run(text, i, tokens)
             continue
         if ch == "-" or ch in _DIGITS:
@@ -191,7 +192,7 @@ class _Parser:
         tok = self.peek()
         if depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2], ())
-        if tok[0] != "name" or tok[1] not in CONSTRUCTORS:
+        if tok[1] not in CONSTRUCTORS:
             raise ParseError(
                 f"unknown constructor {tok[1]!r}", tok[2], tuple(CONSTRUCTORS)
             )
@@ -203,7 +204,7 @@ class _Parser:
             if kind in (",", ";"):
                 self.take(kind)
             elif item[-1] != "*" or self.peek()[0] == _STARTS[kind]:
-                if kind == "pair" and self.peek()[0] == "pairs":  # a run, read whole
+                if self.peek()[0] == "pairs":  # a run, read whole
                     args.extend(self.take("pairs")[1])
                 else:
                     args.append(self.item(kind, depth))

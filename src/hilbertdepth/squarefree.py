@@ -150,12 +150,12 @@ def _resolve_cap(n: int, max_vars: int | None) -> None:
 _CHUNK_BITS = 12
 
 
-def _popcount_layers(bits: int) -> tuple[int, ...]:
+def _popcount_layers(bits: int) -> list[int]:
     layers = [1]
     for i in range(bits):
         width = 1 << i
         layers = [a | b << width for a, b in zip([*layers, 0], [0, *layers])]
-    return tuple(layers)
+    return layers
 
 
 _LAYERS = _popcount_layers(_CHUNK_BITS)

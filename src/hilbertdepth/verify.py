@@ -439,7 +439,7 @@ def verify_structural_laws(trials: int, seed: int) -> tuple[int, list[Violation]
         if d_sum < min(d0, d_other):
             fail(f"sum with {_describe(other)}", f">= {min(d0, d_other)}", d_sum)
         extended = _extension_law(h, d0, fail)
-        if k0 <= d0 <= k0 + 12 and rows[d0 - k0][1] != result.certificate.values:
+        if d0 <= k0 + 12 and rows[d0 - k0][1] != result.certificate.values:
             fail(f"certificate row d={d0}", rows[d0 - k0][1], result.certificate.values)
         if not _inverts(rows, evals, k0):
             for d, values in rows:

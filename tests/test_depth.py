@@ -473,6 +473,7 @@ _wide = st.recursive(
         inner.map(extend),
         st.tuples(inner, inner).map(lambda pair: pair[0] + pair[1]),
         st.tuples(inner, st.integers(-3, 3)).map(lambda pair: shift(*pair)),
+        st.tuples(inner, st.integers(2, 9)).map(lambda pair: scale(*pair)),
     ),
     max_leaves=3,
 )
@@ -522,6 +523,64 @@ def test_top_row_route_is_taken_on_wide_sparse_windows(monkeypatch):
     assert count(complete_intersection(60, [36] * 40)) == (60, 0)
     monkeypatch.setattr(depth, "FLIP", True)
     assert count(polynomial_ring(512))[1] == 0
+
+
+# One-term numerators c t^e / (1 - t)^p: W <= 4 T, W > 4 T with c > 1 and a
+# shift, and c > 1 with a negative e.
+ONE_TERM = [
+    polynomial_ring(3),
+    scale(shift(polynomial_ring(512), 3), 7),
+    free_module(40, [2, 2]),
+]
+
+
+def _count_routes(monkeypatch):
+    """Patch ``_rows`` and ``_top_row`` to record each kernel row built and
+    each top row asked for, in ``calls``."""
+    calls = []
+    clean_rows, clean_top = depth._rows, depth._top_row
+
+    def rows(evals, start):
+        for d, row in clean_rows(evals, start):
+            calls.append("row")
+            yield d, row
+
+    monkeypatch.setattr(depth, "_rows", rows)
+    monkeypatch.setattr(depth, "_top_row",
+                        lambda h, d: calls.append("_top_row") or clean_top(h, d))
+    return calls
+
+
+@pytest.mark.parametrize("h", ONE_TERM)
+def test_one_term_probes_one_row_then_takes_the_top_row(monkeypatch, h):
+    # a shifted, scaled ring has its depth at the window top, so its probe
+    # is the row d = k0 alone and the top row decides
+    calls = _count_routes(monkeypatch)
+    monkeypatch.setattr(depth, "FLIP", False)
+    result = qdepth(h)
+    assert calls == ["row", "_top_row"]
+    assert result == _scan(h.values(*bounds(h)), h.k0)
+    assert result.qdepth == result.upper_bound == h.k0 + h.denom_power
+    # under the fault hook the whole window is probed and no top row built
+    calls.clear()
+    monkeypatch.setattr(depth, "FLIP", True)
+    qdepth(h)
+    assert "_top_row" not in calls
+    assert calls.count("row") >= 2
+
+
+@pytest.mark.parametrize("h", ONE_TERM)
+def test_one_term_negative_top_row_resumes_the_walk(monkeypatch, h):
+    # the theorem only picks the route: a top row that came out negative
+    # would send the walk on from row k0, and the answer is the scan's
+    calls = _count_routes(monkeypatch)
+    monkeypatch.setattr(depth, "_top_row", lambda h, d: calls.append("_top_row") or [-1])
+    monkeypatch.setattr(depth, "FLIP", False)
+    low, high = bounds(h)
+    result = qdepth(h)
+    # every row of the window, each built once
+    assert calls == ["row", "_top_row"] + ["row"] * (high - low)
+    assert result == _scan(h.values(low, high), h.k0)
 
 
 def test_negative_top_row_resumes_the_probe(monkeypatch):
